@@ -32,7 +32,6 @@ from .bundle import (
     standard_lift,
 )
 from .linalg import (
-    ConvergenceError,
     EigenDecomposition,
     anticommutator,
     as_complex_matrix,

@@ -3,22 +3,19 @@
 All matrices are plain numpy arrays with complex128 entries, treated as
 immutable values.  The module provides the Hilbert-Schmidt pairing, the
 metric and symplectic forms built from its real and imaginary parts, and
-a cyclic-Jacobi Hermitian eigensolver.  Jacobi is preferred over
-tridiagonalization at desk scale (n below ~100): it is simple,
-unconditionally stable on Hermitian input, and its fixed rotation order
-plus an explicit eigenvector phase convention make the computed frames
-reproducible across runs and platforms.
+a Hermitian eigendecomposition.  The eigendecomposition is LAPACK's
+Hermitian solver (``np.linalg.eigh``) followed by a descending sort and an
+explicit eigenvector phase convention, so the computed frames are
+reproducible from run to run within one numpy/LAPACK build.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "EigenDecomposition",
     "anticommutator",
     "as_complex_matrix",
@@ -32,19 +29,8 @@ __all__ = [
 # Relative Hermiticity tolerance accepted by hermitian_eig.
 HERMITICITY_TOL = 1e-12
 
-# Off-diagonal Frobenius mass left after a completed Jacobi run,
-# relative to the Frobenius norm of the input.
-JACOBI_OFF_TOL = 1e-14
-
-# Hard sweep limit; hitting it means the input was pathological.
-JACOBI_MAX_SWEEPS = 100
-
 # Smallest column modulus considered significant by the phase fix.
 PHASE_FIX_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal target."""
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -115,28 +101,24 @@ class EigenDecomposition:
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Rephase each column so its first component of modulus > PHASE_FIX_TOL is real positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        sig = np.nonzero(np.abs(col) > PHASE_FIX_TOL)[0]
-        if sig.size:
-            pivot = col[sig[0]]
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return v
+    mask = np.abs(vectors) > PHASE_FIX_TOL
+    significant = mask.any(axis=0)
+    pivots = vectors[mask.argmax(axis=0), np.arange(vectors.shape[1])][significant]
+    factors = np.ones(vectors.shape[1], dtype=np.complex128)
+    # hypot rounds like scalar abs(); np.abs on complex arrays may not.
+    factors[significant] = pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    return vectors * factors
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by row-cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK's Hermitian solver.
 
-    The input is symmetrized before iterating, so Hermiticity violations up
-    to ``HERMITICITY_TOL`` (relative Frobenius) are tolerated; anything
-    larger is rejected.  On return the values are sorted in descending
-    order (stable, so exactly equal values keep the order in which the
-    rotations produced them) and every eigenvector column carries the
-    deterministic phase fix from ``_fix_column_phases``.
-
-    Raises ConvergenceError if the off-diagonal mass has not dropped below
-    ``JACOBI_OFF_TOL * ||H||_F`` after ``JACOBI_MAX_SWEEPS`` sweeps.
+    The input is symmetrized before it is handed to ``np.linalg.eigh``, so
+    Hermiticity violations up to ``HERMITICITY_TOL`` (relative Frobenius)
+    are tolerated; anything larger is rejected.  On return the values are
+    sorted in descending order (stable, so exactly equal values keep the
+    order in which LAPACK returned them) and every eigenvector column
+    carries the deterministic phase fix from ``_fix_column_phases``.
     """
     hm = as_complex_matrix(h, "H")
     n = hm.shape[0]
@@ -147,66 +129,6 @@ def hermitian_eig(h) -> EigenDecomposition:
     if np.linalg.norm(hm - hm.conj().T) > HERMITICITY_TOL * max(norm, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
 
-    a = 0.5 * (hm + hm.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-
-    if n == 1 or norm == 0.0:
-        values = a.real.diagonal().copy()
-        order = np.argsort(-values, kind="stable")
-        return EigenDecomposition(values[order], _fix_column_phases(v[:, order]))
-
-    off_target = JACOBI_OFF_TOL * norm
-    # Rotating on elements this small cannot lift the off-diagonal mass
-    # back above the target, so they are skipped.
-    skip = off_target / (2.0 * n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        od = a.copy()
-        np.fill_diagonal(od, 0.0)
-        if np.linalg.norm(od) <= off_target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                absb = abs(b)
-                if absb <= skip:
-                    continue
-                w = b / absb
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * absb)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sw = s * w
-                swc = s * w.conjugate()
-
-                hp = a[:, p].copy()
-                hq = a[:, q].copy()
-                new_p = c * hp - swc * hq
-                new_q = sw * hp + c * hq
-                a[:, p] = new_p
-                a[:, q] = new_q
-                # Hermiticity is restored exactly by mirroring the columns.
-                a[p, :] = new_p.conj()
-                a[q, :] = new_q.conj()
-                a[p, p] = app - t * absb
-                a[q, q] = aqq + t * absb
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p] = c * vp - swc * vq
-                v[:, q] = sw * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps (n={n})"
-        )
-
-    values = a.real.diagonal().copy()
+    values, vectors = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], _fix_column_phases(v[:, order]))
+    return EigenDecomposition(values[order], _fix_column_phases(vectors[:, order]))

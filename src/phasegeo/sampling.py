@@ -45,25 +45,18 @@ def _ginibre(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random n-by-n unitary.
 
-    A complex Gaussian matrix is orthonormalized by modified Gram-Schmidt;
-    the triangular factor's diagonal is then real positive by construction,
-    which is exactly the phase convention that makes the factor Haar
-    distributed.  A second pass runs only if the first leaves more than
-    1e-12 of non-orthogonality (rare, ill-conditioned draws); it refines
-    the same factor, so the distribution is untouched.
+    A complex Gaussian matrix G is factored by Householder QR, G = QR, and
+    each column of Q is multiplied by the phase d/|d| of the matching
+    diagonal entry d of R.  The rephased factor is the unique unitary
+    whose triangular partner has a real positive diagonal, which is the
+    phase convention that makes it Haar distributed (Mezzadri, Notices AMS
+    54 (2007), arXiv:math-ph/0609050).
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    q = _ginibre(n, n, rng)
-    for _ in range(2):
-        for j in range(n):
-            col = q[:, j]
-            for i in range(j):
-                col -= np.vdot(q[:, i], col) * q[:, i]
-            col /= np.linalg.norm(col)
-        if np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-12:
-            break
-    return q
+    q, r = np.linalg.qr(_ginibre(n, n, rng))
+    d = r.diagonal()
+    return q * (d / np.abs(d))
 
 
 def sample_density(spectrum: Spectrum, n: int, rng: np.random.Generator) -> DensityOperator:

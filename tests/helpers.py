@@ -11,7 +11,7 @@ def eig_bisection(h, tol=1e-12):
     the symmetric elimination of H - x*1 equals the number of eigenvalues
     below x.  Each eigenvalue is then located by bisecting the count
     transition inside a Gershgorin interval.  Entirely independent of the
-    Jacobi route used by the package.
+    LAPACK route used by the package.
     """
     a = np.asarray(h, dtype=np.complex128)
     n = a.shape[0]

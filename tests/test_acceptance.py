@@ -278,7 +278,7 @@ def test_criterion_09_expectation_identity(bound_sweep):
 
 
 def test_criterion_10_eigensolver_oracle():
-    desc = "Jacobi eigenvalues match the bisection oracle to 1e-9 on 100 matrices"
+    desc = "hermitian_eig eigenvalues match the bisection oracle to 1e-9 on 100 matrices"
     with criterion(10, desc):
         rng = np.random.default_rng(SEED)
         for index in range(100):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from phasegeo.bundle import DensityOperator, project, standard_lift
 from phasegeo.linalg import (
     PHASE_FIX_TOL,
+    _fix_column_phases,
     anticommutator,
     commutator,
     form_omega,
@@ -15,6 +17,7 @@ from phasegeo.linalg import (
     hs_inner,
     metric_g,
 )
+from phasegeo.sampling import make_rng, sample_unitary
 
 from helpers import eig_bisection, random_hermitian_matrix
 
@@ -204,3 +207,60 @@ class TestHermitianEig:
         eig = hermitian_eig(np.zeros((3, 3)))
         np.testing.assert_allclose(eig.values, np.zeros(3))
         np.testing.assert_allclose(eig.vectors, np.eye(3))
+
+
+def _fix_column_phases_loop(vectors):
+    """Column-by-column form of the phase fix, kept as the reference."""
+    v = vectors.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        sig = np.nonzero(np.abs(col) > PHASE_FIX_TOL)[0]
+        if sig.size:
+            pivot = col[sig[0]]
+            v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return v
+
+
+class TestHermitianEigAtScale:
+    """The dimensions the sweep benchmarks reach, beyond the dim-8 cases above."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_frame_properties(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            h = random_hermitian_matrix(n, rng)
+            eig = hermitian_eig(h)
+            v = eig.vectors
+            assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-12
+            rebuilt = (v * eig.values) @ v.conj().T
+            assert np.linalg.norm(h - rebuilt) <= 1e-12 * np.linalg.norm(h)
+            assert (np.diff(eig.values) <= 0.0).all()
+            for j in range(n):
+                lead = v[np.abs(v[:, j]) > PHASE_FIX_TOL, j][0]
+                assert lead.imag == pytest.approx(0.0, abs=1e-13)
+                assert lead.real > 0
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_degenerate_state_lift_projects_back(self, n):
+        """U diag(0.4, 0.4, 0.2, 0, ...) U† has a doubled eigenvalue and a rank cut."""
+        u = sample_unitary(n, make_rng(200 + n))
+        d = np.zeros(n)
+        d[:3] = (0.4, 0.4, 0.2)
+        m = (u * d) @ u.conj().T
+        rho = DensityOperator(0.5 * (m + m.conj().T))
+        lift = standard_lift(rho)
+        assert lift.spectrum.multiplicities == (2, 1)
+        np.testing.assert_allclose(lift.spectrum.eigenvalues, (0.4, 0.4, 0.2), atol=1e-12)
+        assert np.abs(project(lift).matrix - rho.matrix).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_phase_fix_matches_column_loop(self, n):
+        """Equal to the per-column loop, bit for bit, including a zero first row."""
+        rng = np.random.default_rng(300 + n)
+        v = np.linalg.eigh(random_hermitian_matrix(n, rng))[1]
+        v[0, :] = 0.0
+        v[: n // 2, 1] = PHASE_FIX_TOL / 10
+        v[:, -1] = 0.0
+        got = _fix_column_phases(v)
+        assert got.tobytes() == _fix_column_phases_loop(v).tobytes()
+        assert (got[:, -1] == 0.0).all()

@@ -6,6 +6,7 @@ import pytest
 from phasegeo.bundle import Spectrum, spectrum_of
 from phasegeo.sampling import (
     MIN_EIGENVALUE,
+    _ginibre,
     make_rng,
     sample_density,
     sample_gauge_algebra,
@@ -14,6 +15,21 @@ from phasegeo.sampling import (
     sample_spectrum,
     sample_unitary,
 )
+
+
+def _gram_schmidt(g):
+    """Modified Gram-Schmidt with one refinement pass, the Q of G = QR with R > 0 on the diagonal."""
+    q = g.copy()
+    n = q.shape[1]
+    for _ in range(2):
+        for j in range(n):
+            col = q[:, j]
+            for i in range(j):
+                col -= np.vdot(q[:, i], col) * q[:, i]
+            col /= np.linalg.norm(col)
+        if np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-12:
+            break
+    return q
 
 
 class TestSampleUnitary:
@@ -37,6 +53,14 @@ class TestSampleUnitary:
         u1 = sample_unitary(5, make_rng(77))
         u2 = sample_unitary(5, make_rng(77))
         assert (u1 == u2).all()
+
+    def test_matches_gram_schmidt_reference(self):
+        """Same Ginibre draw, same factor as modified Gram-Schmidt, for n = 2..64."""
+        for n in range(2, 65):
+            u = sample_unitary(n, make_rng(500, n))
+            q = _gram_schmidt(_ginibre(n, n, make_rng(500, n)))
+            assert np.abs(u - q).max() < 1e-12, n
+            assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12, n
 
 
 class TestSampleDensity:
