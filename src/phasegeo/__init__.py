@@ -16,7 +16,6 @@ with the metric on vertical vectors.
 from .bundle import (
     DEG_TOL_DEFAULT,
     RANK_TOL_DEFAULT,
-    BlockProjectors,
     DensityOperator,
     GaugeAlgebraElement,
     Lift,
@@ -47,6 +46,7 @@ from .observables import (
     PAULI_Z,
     BracketPair,
     Observable,
+    bracket_matrix,
     brackets,
     brackets_at_lift,
     chi_element,
@@ -72,6 +72,7 @@ from .uncertainty import (
     UncertaintyReport,
     VarianceBound,
     analyze_pair,
+    analyze_pairs,
     cauchy_schwarz_check,
     geometric_bound,
     rs_bound,

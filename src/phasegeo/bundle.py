@@ -33,7 +33,6 @@ import numpy as np
 from .linalg import as_complex_matrix, hermitian_eig, metric_g
 
 __all__ = [
-    "BlockProjectors",
     "DEG_TOL_DEFAULT",
     "DensityOperator",
     "GaugeAlgebraElement",
@@ -112,17 +111,12 @@ class Spectrum:
             raise ValueError("multiplicities must be positive integers")
         if sum(m) != len(p):
             raise ValueError("multiplicities must sum to the number of eigenvalues")
-        start = 0
-        gap_floor = self.degeneracy_tolerance * p[0]
-        prev = None
-        for mi in m:
-            block = p[start : start + mi]
-            if any(v != block[0] for v in block):
+        for slc in self.block_slices:
+            if any(v != p[slc.start] for v in p[slc]):
                 raise ValueError("eigenvalues within a multiplicity block must be identical")
-            if prev is not None and prev - block[0] <= gap_floor:
-                raise ValueError("distinct eigenvalues lie within the degeneracy tolerance")
-            prev = block[0]
-            start += mi
+        values = self.distinct_values
+        if any(a - b <= self.degeneracy_tolerance * p[0] for a, b in zip(values, values[1:])):
+            raise ValueError("distinct eigenvalues lie within the degeneracy tolerance")
 
     @property
     def rank(self) -> int:
@@ -132,12 +126,7 @@ class Spectrum:
     @property
     def distinct_values(self) -> tuple[float, ...]:
         """The l grouped eigenvalues, one per multiplicity block."""
-        out = []
-        start = 0
-        for m in self.multiplicities:
-            out.append(self.eigenvalues[start])
-            start += m
-        return tuple(out)
+        return tuple(self.eigenvalues[slc.start] for slc in self.block_slices)
 
     @property
     def block_slices(self) -> tuple[slice, ...]:
@@ -154,12 +143,7 @@ class Spectrum:
         return np.diag(np.asarray(self.eigenvalues, dtype=np.complex128))
 
 
-# A BlockProjectors value is the tuple (E_1, ..., E_l) of diagonal 0/1
-# matrices selecting the multiplicity blocks; see block_projectors().
-BlockProjectors = tuple
-
-
-def block_projectors(spectrum: Spectrum) -> BlockProjectors:
+def block_projectors(spectrum: Spectrum) -> tuple[np.ndarray, ...]:
     """Diagonal projectors E_j onto the multiplicity blocks, E_1 + ... + E_l = 1."""
     k = spectrum.rank
     out = []
@@ -264,14 +248,15 @@ def _check_block_structure(xi: np.ndarray, spectrum: Spectrum) -> None:
         raise ValueError("element does not commute with P(sigma): not in the gauge algebra")
 
 
-def _group_eigenvalues(
-    values: np.ndarray, rank_tol: float, deg_tol: float
-) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Rank-cut and degeneracy-group a descending eigenvalue sequence."""
+def _spectral_frame(
+    rho: DensityOperator, rank_tol: float, deg_tol: float
+) -> tuple[Spectrum, np.ndarray]:
+    """Rank-cut, degeneracy-grouped spectrum and the eigenvectors it keeps."""
     if rank_tol <= 0 or deg_tol <= 0:
         raise ValueError("rank_tol and deg_tol must be positive")
-    cut = rank_tol * float(values.sum())
-    kept = [float(v) for v in values if v >= cut and v > 0.0]
+    eig = hermitian_eig(rho.matrix)
+    cut = rank_tol * float(eig.values.sum())
+    kept = [float(v) for v in eig.values if v >= cut and v > 0.0]
     if not kept:
         raise ValueError("all eigenvalues fall below the rank cut (zero operator)")
     gap_floor = deg_tol * kept[0]
@@ -287,7 +272,8 @@ def _group_eigenvalues(
         mean = sum(cluster) / len(cluster)
         eigenvalues.extend([mean] * len(cluster))
         multiplicities.append(len(cluster))
-    return tuple(eigenvalues), tuple(multiplicities)
+    spectrum = Spectrum(tuple(eigenvalues), tuple(multiplicities), deg_tol)
+    return spectrum, eig.vectors[:, : spectrum.rank]
 
 
 def spectrum_of(
@@ -302,9 +288,7 @@ def spectrum_of(
     eigenvalue are merged into one multiplicity block represented by the
     cluster mean.
     """
-    eig = hermitian_eig(rho.matrix)
-    values, mults = _group_eigenvalues(eig.values, rank_tol, deg_tol)
-    return Spectrum(values, mults, deg_tol)
+    return _spectral_frame(rho, rank_tol, deg_tol)[0]
 
 
 def standard_lift(
@@ -318,12 +302,8 @@ def standard_lift(
     V holds the eigenvectors of the retained eigenvalues, so the result is
     reproducible across runs and projects back onto ``rho``.
     """
-    eig = hermitian_eig(rho.matrix)
-    values, mults = _group_eigenvalues(eig.values, rank_tol, deg_tol)
-    spectrum = Spectrum(values, mults, deg_tol)
-    k = spectrum.rank
-    psi = eig.vectors[:, :k] * np.sqrt(np.asarray(values))
-    return Lift(psi, spectrum, hbar)
+    spectrum, vectors = _spectral_frame(rho, rank_tol, deg_tol)
+    return Lift(vectors * np.sqrt(spectrum.eigenvalues), spectrum, hbar)
 
 
 def project(psi: Lift) -> DensityOperator:

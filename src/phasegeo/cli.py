@@ -17,10 +17,11 @@ import argparse
 import json
 import sys
 from io import StringIO
+from itertools import combinations
 
 import numpy as np
 
-from .bundle import DensityOperator, spectrum_of, split, standard_lift
+from .bundle import DensityOperator, split, standard_lift
 from .io import (
     StateFileError,
     load_observables,
@@ -29,9 +30,9 @@ from .io import (
     write_reports_csv,
     write_reports_json,
 )
-from .observables import brackets, expected_value, ham_field, spin_half
+from .observables import expected_value, ham_field, spin_half
 from .sampling import make_rng, sample_density, sample_hermitian, sample_spectrum
-from .uncertainty import RelationViolationError, analyze_pair
+from .uncertainty import RelationViolationError, analyze_pair, analyze_pairs
 from .verify import run_battery
 
 __all__ = ["main", "entry"]
@@ -63,8 +64,8 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
     p2 = 1.0 - p1
     rho = DensityOperator(np.diag([p1, p2]).astype(np.complex128))
     sx, sy, sz = spin_half(hbar)
-    spectrum = spectrum_of(rho)
     lift = standard_lift(rho, hbar)
+    spectrum = lift.spectrum
 
     print(f"spin-1/2 ensemble: p1={p1!r}, p2={p2!r}, hbar={hbar!r}")
     print(f"spectrum: eigenvalues={spectrum.eigenvalues} multiplicities={spectrum.multiplicities}")
@@ -85,10 +86,9 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
     print(f"expectations: <Sx> = {expected_value(sx, rho)!r}, "
           f"<Sy> = {expected_value(sy, rho)!r}, <Sz> = {expected_value(sz, rho)!r}")
 
-    pair = brackets(sx, sy, rho, hbar, lift=lift)
     report = analyze_pair(sx, sy, rho, hbar, lift=lift)
-    print(f"riemann bracket {{Sx,Sy}}_g     = {pair.riemann!r}")
-    print(f"poisson bracket {{Sx,Sy}}_omega = {pair.poisson!r}")
+    print(f"riemann bracket {{Sx,Sy}}_g     = {report.riemann!r}")
+    print(f"poisson bracket {{Sx,Sy}}_omega = {report.poisson!r}")
     print(f"delta_Sx        = {report.delta_a!r}")
     print(f"delta_Sy        = {report.delta_b!r}")
     print(f"product         = {report.product!r}")
@@ -108,15 +108,7 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
         "geometric_bound": 0.25 * hbar * hbar * abs(p1 - p2),
         "rs_bound": 0.25 * hbar * hbar * abs(p1 - p2),
     }
-    got = {
-        "riemann": report.riemann,
-        "poisson": report.poisson,
-        "delta_a": report.delta_a,
-        "delta_b": report.delta_b,
-        "product": report.product,
-        "geometric_bound": report.geometric_bound,
-        "rs_bound": report.rs_bound,
-    }
+    got = {key: getattr(report, key) for key in expected}
     failures = [
         f"{key}: got {got[key]!r}, expected {value!r}"
         for key, value in expected.items()
@@ -149,14 +141,9 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
     named = load_observables(observables_path, rho.dim)
     if len(named) < 2:
         print("warning: fewer than two observables, no pairs to analyze", file=sys.stderr)
-    lift = standard_lift(rho, hbar)
-    reports = []
-    for i in range(len(named)):
-        for j in range(i + 1, len(named)):
-            name_a, obs_a = named[i]
-            name_b, obs_b = named[j]
-            rep = analyze_pair(obs_a, obs_b, rho, hbar, lift=lift)
-            reports.append(report_to_dict(rep, name_a, name_b))
+    names = [name for name, _ in named]
+    reps = analyze_pairs([obs for _, obs in named], rho, hbar)
+    reports = [report_to_dict(rep, a, b) for rep, (a, b) in zip(reps, combinations(names, 2))]
 
     buf = StringIO()
     if fmt == "json":
@@ -170,9 +157,6 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
 def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, fmt: str) -> int:
     spectrum, resampled = sample_spectrum(rank, make_rng(seed, 0))
     records = []
-    min_slack_geo = float("inf")
-    min_slack_rs = float("inf")
-    wins = {"geometric": 0, "robertson_schrodinger": 0, "tie": 0}
     for index in range(samples):
         rng = make_rng(seed, 1, index)
         rho = sample_density(spectrum, dim, rng)
@@ -187,16 +171,14 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
         }
         rec.update(report_to_dict(rep))
         records.append(rec)
-        min_slack_geo = min(min_slack_geo, rep.slack_geometric)
-        min_slack_rs = min(min_slack_rs, rep.slack_rs)
-        wins[rep.bound_winner] += 1
 
+    winners = [rec["bound_winner"] for rec in records]
     summary = {
-        "min_slack_geometric": min_slack_geo,
-        "min_slack_rs": min_slack_rs,
-        "fraction_geometric_wins": wins["geometric"] / samples,
-        "fraction_rs_wins": wins["robertson_schrodinger"] / samples,
-        "fraction_ties": wins["tie"] / samples,
+        "min_slack_geometric": min(rec["slack_geometric"] for rec in records),
+        "min_slack_rs": min(rec["slack_rs"] for rec in records),
+        "fraction_geometric_wins": winners.count("geometric") / samples,
+        "fraction_rs_wins": winners.count("robertson_schrodinger") / samples,
+        "fraction_ties": winners.count("tie") / samples,
     }
 
     buf = StringIO()
@@ -219,8 +201,8 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
     _emit(buf.getvalue(), output)
 
     summary_text = (
-        f"summary: min_slack_geometric={min_slack_geo!r} "
-        f"min_slack_rs={min_slack_rs!r} "
+        f"summary: min_slack_geometric={summary['min_slack_geometric']!r} "
+        f"min_slack_rs={summary['min_slack_rs']!r} "
         f"fraction_geometric_wins={summary['fraction_geometric_wins']!r}"
     )
     # Keep the record stream byte-reproducible: the summary goes to stdout

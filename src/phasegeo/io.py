@@ -94,13 +94,16 @@ def parse_state(obj: Any) -> tuple[DensityOperator, float]:
     return rho, float(hbar)
 
 
-def load_state(path: str) -> tuple[DensityOperator, float]:
+def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise StateFileError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_state(obj)
+
+
+def load_state(path: str) -> tuple[DensityOperator, float]:
+    return parse_state(_load_json(path))
 
 
 def parse_observables(obj: Any, dim: int) -> list[tuple[str, Observable]]:
@@ -125,12 +128,7 @@ def parse_observables(obj: Any, dim: int) -> list[tuple[str, Observable]]:
 
 
 def load_observables(path: str, dim: int) -> list[tuple[str, Observable]]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateFileError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_observables(obj, dim)
+    return parse_observables(_load_json(path), dim)
 
 
 def _matrix_to_pairs(matrix: np.ndarray) -> list[list[list[float]]]:

@@ -16,23 +16,21 @@ the covariance identity needs it).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import (
-    DEG_TOL_DEFAULT,
-    RANK_TOL_DEFAULT,
     DensityOperator,
     GaugeAlgebraElement,
     Lift,
     Spectrum,
     connection_form,
     inertia_inner,
-    split,
     standard_lift,
 )
-from .linalg import as_complex_matrix, form_omega, metric_g
+from .linalg import as_complex_matrix
 
 __all__ = [
     "BracketPair",
@@ -40,6 +38,7 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
+    "bracket_matrix",
     "brackets",
     "brackets_at_lift",
     "chi_element",
@@ -119,30 +118,38 @@ def ham_field(obs: Observable, psi: Lift) -> np.ndarray:
     return obs.matrix @ psi.psi / (1j * psi.hbar)
 
 
+def _bracket_kernel(observables: Sequence[Observable], psi: Lift) -> np.ndarray:
+    """Z_ij = {A_i,A_j}_g + i {A_i,A_j}_omega at one lift.
+
+    i hbar times the horizontal part of X_A is A Psi - Psi xi, with xi the
+    block-diagonal part of Psi† A Psi over the block eigenvalue; Z is 2/hbar
+    times the Gram matrix of these (see the README for the closed form).
+    """
+    for obs in observables:
+        _require_dim(obs, psi.dim)
+    n, k = psi.psi.shape
+    mats = np.array([obs.matrix for obs in observables]).reshape(-1, n, n)
+    b = mats @ psi.psi
+    c = psi.psi.conj().T @ b
+    block = np.repeat(np.arange(len(psi.spectrum.multiplicities)), psi.spectrum.multiplicities)
+    inv_p = (block[:, None] == block) / np.asarray(psi.spectrum.eigenvalues)
+    h = (b - psi.psi @ (c * inv_p)).reshape(len(mats), n * k)
+    return (2.0 / psi.hbar) * (h.conj() @ h.T)
+
+
 def brackets_at_lift(obs_a: Observable, obs_b: Observable, psi: Lift) -> BracketPair:
     """Brackets evaluated through an explicit lift.
 
     The value is independent of which lift of the state is supplied (gauge
-    invariance); the plain ``brackets`` entry point always uses the
-    standard lift.
+    invariance); ``brackets`` uses the standard lift unless one is passed.
     """
-    _, ha = split(psi, ham_field(obs_a, psi))
-    _, hb = split(psi, ham_field(obs_b, psi))
-    return BracketPair(
-        riemann=metric_g(ha, hb, psi.hbar),
-        poisson=form_omega(ha, hb, psi.hbar),
-    )
+    z = complex(_bracket_kernel((obs_a, obs_b), psi)[0, 1])
+    return BracketPair(riemann=z.real, poisson=z.imag)
 
 
-def _resolve_lift(
-    rho: DensityOperator,
-    hbar: float,
-    lift: Lift | None,
-    rank_tol: float,
-    deg_tol: float,
-) -> Lift:
+def _resolve_lift(rho: DensityOperator, hbar: float, lift: Lift | None) -> Lift:
     if lift is None:
-        return standard_lift(rho, hbar, rank_tol, deg_tol)
+        return standard_lift(rho, hbar)
     if lift.hbar != hbar:
         raise ValueError(f"provided lift carries hbar={lift.hbar}, expected {hbar}")
     if lift.dim != rho.dim:
@@ -153,6 +160,21 @@ def _resolve_lift(
     return lift
 
 
+def bracket_matrix(
+    observables: Sequence[Observable],
+    rho: DensityOperator,
+    hbar: float = 1.0,
+    *,
+    lift: Lift | None = None,
+) -> np.ndarray:
+    """Complex N-by-N matrix of {A_i,A_j}_g + i {A_i,A_j}_omega at a state.
+
+    The real part is symmetric and the imaginary part antisymmetric.  The
+    lift of ``rho`` (standard unless one is passed in) is resolved once.
+    """
+    return _bracket_kernel(observables, _resolve_lift(rho, hbar, lift))
+
+
 def brackets(
     obs_a: Observable,
     obs_b: Observable,
@@ -160,18 +182,13 @@ def brackets(
     hbar: float = 1.0,
     *,
     lift: Lift | None = None,
-    rank_tol: float = RANK_TOL_DEFAULT,
-    deg_tol: float = DEG_TOL_DEFAULT,
 ) -> BracketPair:
     """Riemannian and Poisson brackets of two observables at a state.
 
     Both are computed from the horizontal parts of the Hamiltonian fields
     at a lift of ``rho`` (the standard lift unless one is passed in).
     """
-    _require_dim(obs_a, rho.dim)
-    _require_dim(obs_b, rho.dim)
-    psi = _resolve_lift(rho, hbar, lift, rank_tol, deg_tol)
-    return brackets_at_lift(obs_a, obs_b, psi)
+    return brackets_at_lift(obs_a, obs_b, _resolve_lift(rho, hbar, lift))
 
 
 def xi_field(obs: Observable, psi: Lift) -> GaugeAlgebraElement:
@@ -221,7 +238,7 @@ def sym_covariance(
     """
     _require_dim(obs_a, rho.dim)
     _require_dim(obs_b, rho.dim)
-    psi = _resolve_lift(rho, hbar, lift, RANK_TOL_DEFAULT, DEG_TOL_DEFAULT)
+    psi = _resolve_lift(rho, hbar, lift)
     spectrum = psi.spectrum
     pair = brackets_at_lift(obs_a, obs_b, psi)
     pa = xi_perp(xi_field(obs_a, psi), spectrum, hbar)

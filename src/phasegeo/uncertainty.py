@@ -14,13 +14,15 @@ formulas and makes no geometric claim.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .bundle import DensityOperator, Lift
-from .observables import Observable, brackets, expected_value
+from .observables import Observable, bracket_matrix, expected_value
 
 __all__ = [
     "RelationViolationError",
@@ -28,6 +30,7 @@ __all__ = [
     "VarianceBound",
     "CauchySchwarz",
     "analyze_pair",
+    "analyze_pairs",
     "cauchy_schwarz_check",
     "geometric_bound",
     "rs_bound",
@@ -42,8 +45,8 @@ _VARIANCE_CLAMP = 1e-12
 # implementation fault, never a physical violation.
 _SLACK_TOL = 1e-9
 
-# Bounds within this absolute distance count as a tie; near-pure states
-# make the two bounds analytically equal.
+# Bounds within this distance relative to max(product, geo, rs) count as a
+# tie; near-pure states make the two bounds analytically equal.
 _TIE_TOL = 1e-10
 
 
@@ -104,8 +107,7 @@ def variance_bound_check(
     geometrically.
     """
     lhs = variance(obs, rho)
-    pair = brackets(obs, obs, rho, hbar, lift=lift)
-    rhs = 0.5 * hbar * pair.riemann
+    rhs = 0.5 * hbar * float(bracket_matrix((obs,), rho, hbar, lift=lift)[0, 0].real)
     gap = lhs - rhs
     if gap < 0.0:
         if gap < -_SLACK_TOL * max(1.0, abs(lhs)):
@@ -123,10 +125,9 @@ def cauchy_schwarz_check(
     lift: Lift | None = None,
 ) -> CauchySchwarz:
     """Both sides of {A,A}_g {B,B}_g >= {A,B}_g^2 + {A,B}_omega^2."""
-    aa = brackets(obs_a, obs_a, rho, hbar, lift=lift)
-    bb = brackets(obs_b, obs_b, rho, hbar, lift=lift)
-    ab = brackets(obs_a, obs_b, rho, hbar, lift=lift)
-    return CauchySchwarz(aa.riemann * bb.riemann, ab.riemann**2 + ab.poisson**2)
+    z = bracket_matrix((obs_a, obs_b), rho, hbar, lift=lift)
+    ab = complex(z[0, 1])
+    return CauchySchwarz(float(z[0, 0].real * z[1, 1].real), ab.real**2 + ab.imag**2)
 
 
 def geometric_bound(
@@ -138,8 +139,8 @@ def geometric_bound(
     lift: Lift | None = None,
 ) -> float:
     """Geometric lower bound (hbar/2) sqrt(riemann^2 + poisson^2)."""
-    pair = brackets(obs_a, obs_b, rho, hbar, lift=lift)
-    return 0.5 * hbar * math.hypot(pair.riemann, pair.poisson)
+    z = complex(bracket_matrix((obs_a, obs_b), rho, hbar, lift=lift)[0, 1])
+    return 0.5 * hbar * math.hypot(z.real, z.imag)
 
 
 def rs_bound(obs_a: Observable, obs_b: Observable, rho: DensityOperator) -> float:
@@ -154,6 +155,66 @@ def rs_bound(obs_a: Observable, obs_b: Observable, rho: DensityOperator) -> floa
     return math.hypot(half_comm, cov)
 
 
+def analyze_pairs(
+    observables: Sequence[Observable],
+    rho: DensityOperator,
+    hbar: float = 1.0,
+    *,
+    lift: Lift | None = None,
+) -> list[UncertaintyReport]:
+    """Uncertainty reports for every pair i < j of observables, row-major.
+
+    All brackets come from one bracket matrix and each spread is computed
+    once per observable.  Raises RelationViolationError if either bound
+    exceeds the spread product beyond tolerance; that can only mean a
+    numerical or implementation fault.
+    """
+    z = bracket_matrix(observables, rho, hbar, lift=lift)
+    spreads = [math.sqrt(variance(obs, rho)) for obs in observables]
+    reports = []
+    for i, j in combinations(range(len(observables)), 2):
+        da, db = spreads[i], spreads[j]
+        product = da * db
+        bracket = complex(z[i, j])
+        geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
+        rs = rs_bound(observables[i], observables[j], rho)
+        slack_geo = product - geo
+        slack_rs = product - rs
+
+        scale = max(1.0, product, geo, rs)
+        if slack_geo < -_SLACK_TOL * scale:
+            raise RelationViolationError(
+                f"geometric bound {geo!r} exceeds spread product {product!r}"
+            )
+        if slack_rs < -_SLACK_TOL * scale:
+            raise RelationViolationError(
+                f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
+            )
+
+        if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
+            winner = "tie"
+        elif geo > rs:
+            winner = "geometric"
+        else:
+            winner = "robertson_schrodinger"
+
+        reports.append(
+            UncertaintyReport(
+                delta_a=da,
+                delta_b=db,
+                product=product,
+                riemann=bracket.real,
+                poisson=bracket.imag,
+                geometric_bound=geo,
+                rs_bound=rs,
+                slack_geometric=slack_geo,
+                slack_rs=slack_rs,
+                bound_winner=winner,
+            )
+        )
+    return reports
+
+
 def analyze_pair(
     obs_a: Observable,
     obs_b: Observable,
@@ -162,47 +223,5 @@ def analyze_pair(
     *,
     lift: Lift | None = None,
 ) -> UncertaintyReport:
-    """Full uncertainty report for one observable pair at one state.
-
-    Raises RelationViolationError if either bound exceeds the spread
-    product beyond tolerance; that can only mean a numerical or
-    implementation fault.
-    """
-    da = math.sqrt(variance(obs_a, rho))
-    db = math.sqrt(variance(obs_b, rho))
-    product = da * db
-    pair = brackets(obs_a, obs_b, rho, hbar, lift=lift)
-    geo = 0.5 * hbar * math.hypot(pair.riemann, pair.poisson)
-    rs = rs_bound(obs_a, obs_b, rho)
-    slack_geo = product - geo
-    slack_rs = product - rs
-
-    scale = max(1.0, product, geo, rs)
-    if slack_geo < -_SLACK_TOL * scale:
-        raise RelationViolationError(
-            f"geometric bound {geo!r} exceeds spread product {product!r}"
-        )
-    if slack_rs < -_SLACK_TOL * scale:
-        raise RelationViolationError(
-            f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
-        )
-
-    if abs(geo - rs) <= _TIE_TOL:
-        winner = "tie"
-    elif geo > rs:
-        winner = "geometric"
-    else:
-        winner = "robertson_schrodinger"
-
-    return UncertaintyReport(
-        delta_a=da,
-        delta_b=db,
-        product=product,
-        riemann=pair.riemann,
-        poisson=pair.poisson,
-        geometric_bound=geo,
-        rs_bound=rs,
-        slack_geometric=slack_geo,
-        slack_rs=slack_rs,
-        bound_winner=winner,
-    )
+    """Full uncertainty report for one observable pair at one state."""
+    return analyze_pairs((obs_a, obs_b), rho, hbar, lift=lift)[0]

@@ -220,6 +220,7 @@ def _check_bracket_gauge_invariance(dim, samples, rng, hbar):
     return worst
 
 
+# Cross-check of the closed-form brackets against the connection-form route.
 def _check_pythagoras(dim, samples, rng, hbar):
     worst = 0.0
     for _ in range(samples):

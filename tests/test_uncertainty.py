@@ -196,3 +196,16 @@ class TestAnalyzePair:
             assert rep.geometric_bound == pytest.approx(
                 rep.rs_bound, rel=1e-9, abs=1e-9
             )
+
+
+class TestTieRuleScale:
+    def test_winners_do_not_depend_on_units(self):
+        """Scaling both observables leaves every winner alone and makes no ties."""
+        rng = make_rng(58)
+        for _ in range(200):
+            rho, a, b = _random_case(4, rng, rank=int(rng.integers(2, 5)))
+            base = analyze_pair(a, b, rho)
+            assert base.bound_winner != "tie"
+            for c in (1e-5, 1e5):
+                scaled = analyze_pair(Observable(c * a.matrix), Observable(c * b.matrix), rho)
+                assert scaled.bound_winner == base.bound_winner
