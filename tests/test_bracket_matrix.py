@@ -1,5 +1,7 @@
 """Tests for the bracket matrix against the connection-form reference route."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from phasegeo.bundle import DensityOperator, split, standard_lift
 from phasegeo.linalg import form_omega, metric_g
 from phasegeo.observables import Observable, bracket_matrix, ham_field
 from phasegeo.sampling import make_rng, sample_hermitian, sample_unitary
-from phasegeo.uncertainty import analyze_pair, analyze_pairs, cauchy_schwarz_check
+from phasegeo.uncertainty import (
+    analyze_pair,
+    analyze_pairs,
+    cauchy_schwarz_check,
+    rs_bound,
+    variance,
+)
 
 # Spectra on the degeneracy strata, zeros padding up to the dimension.
 STRATA = {
@@ -42,6 +50,40 @@ def _case(name, hbar):
     return rho, [sample_hermitian(len(diag), rng) for _ in range(OBSERVABLES)]
 
 
+def _reference_report(obs_a, obs_b, rho, hbar, bracket):
+    """Report fields built from a split-route bracket, spreads and rs_bound."""
+    da = math.sqrt(variance(obs_a, rho))
+    db = math.sqrt(variance(obs_b, rho))
+    product = da * db
+    geo = 0.5 * hbar * abs(bracket)
+    rs = rs_bound(obs_a, obs_b, rho)
+    if abs(geo - rs) <= 1e-10 * max(product, geo, rs):
+        winner = "tie"
+    else:
+        winner = "geometric" if geo > rs else "robertson_schrodinger"
+    return {
+        "delta_a": da,
+        "delta_b": db,
+        "product": product,
+        "riemann": bracket.real,
+        "poisson": bracket.imag,
+        "geometric_bound": geo,
+        "rs_bound": rs,
+        "slack_geometric": product - geo,
+        "slack_rs": product - rs,
+        "bound_winner": winner,
+    }
+
+
+def _assert_same_report(rep, ref):
+    scale = max(abs(v) for v in ref.values() if isinstance(v, float))
+    for key, value in ref.items():
+        if isinstance(value, str):
+            assert getattr(rep, key) == value, key
+        else:
+            assert getattr(rep, key) == pytest.approx(value, rel=1e-12, abs=1e-12 * scale), key
+
+
 @pytest.mark.parametrize("hbar", HBARS)
 @pytest.mark.parametrize("name", sorted(STRATA))
 class TestDegenerateStrata:
@@ -65,19 +107,22 @@ class TestDegenerateStrata:
         }[name]
         assert spectrum.multiplicities == expected
 
-    def test_analyze_pairs_match_per_pair_reports(self, name, hbar):
+    def test_analyze_pairs_match_split_route_reports(self, name, hbar):
         rho, observables = _case(name, hbar)
         reports = analyze_pairs(observables, rho, hbar)
         pairs = [(i, j) for i in range(OBSERVABLES) for j in range(i + 1, OBSERVABLES)]
         assert len(reports) == len(pairs)
+        ref_z = _split_route(observables, standard_lift(rho, hbar))
         for rep, (i, j) in zip(reports, pairs):
-            ref = analyze_pair(observables[i], observables[j], rho, hbar)
-            ref_fields = vars(ref)
-            scale = max(abs(v) for v in ref_fields.values() if isinstance(v, float))
-            for key, value in ref_fields.items():
-                if isinstance(value, float):
-                    assert getattr(rep, key) == pytest.approx(value, rel=1e-12, abs=1e-12 * scale)
-            assert rep.bound_winner == ref.bound_winner
+            ref = _reference_report(observables[i], observables[j], rho, hbar, ref_z[i, j])
+            _assert_same_report(rep, ref)
+
+    def test_analyze_pair_is_the_matching_analyze_pairs_report(self, name, hbar):
+        rho, observables = _case(name, hbar)
+        reports = analyze_pairs(observables, rho, hbar)
+        pairs = [(i, j) for i in range(OBSERVABLES) for j in range(i + 1, OBSERVABLES)]
+        for rep, (i, j) in zip(reports, pairs):
+            _assert_same_report(rep, vars(analyze_pair(observables[i], observables[j], rho, hbar)))
 
 
 def test_maximally_mixed_brackets_vanish():
