@@ -68,7 +68,11 @@ class Observable:
         a = as_complex_matrix(self.matrix, "observable")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"observable must be square, got shape {a.shape}")
-        norm = np.linalg.norm(a)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        # An overflowed norm would make the Hermiticity test read inf > inf.
+        if not math.isfinite(norm):
+            raise ValueError("observable norm overflows; rescale its entries")
         if np.linalg.norm(a - a.conj().T) > _HERM_TOL * max(norm, 1.0):
             raise ValueError("observable is not Hermitian within tolerance")
         out = a.copy()

@@ -38,6 +38,8 @@ __all__ = [
     "variance_bound_check",
 ]
 
+# The guards below are written "not x >= -tol" so that a NaN fails them.
+
 # Negative variance beyond this is a fault, within it is floating noise.
 _VARIANCE_CLAMP = 1e-12
 
@@ -86,11 +88,9 @@ def variance(obs: Observable, rho: DensityOperator) -> float:
     a = obs.matrix
     second = float(np.trace(a @ a @ rho.matrix).real)
     v = second - expected_value(obs, rho) ** 2
-    if v < 0.0:
-        if v < -_VARIANCE_CLAMP * max(1.0, second):
-            raise RelationViolationError(f"variance came out negative: {v!r}")
-        v = 0.0
-    return v
+    if not v >= -_VARIANCE_CLAMP * max(1.0, second):
+        raise RelationViolationError(f"variance came out negative: {v!r}")
+    return max(v, 0.0)
 
 
 def variance_bound_check(
@@ -109,11 +109,9 @@ def variance_bound_check(
     lhs = variance(obs, rho)
     rhs = 0.5 * hbar * float(bracket_matrix((obs,), rho, hbar, lift=lift)[0, 0].real)
     gap = lhs - rhs
-    if gap < 0.0:
-        if gap < -_SLACK_TOL * max(1.0, abs(lhs)):
-            raise RelationViolationError(f"variance bound violated by {gap!r}")
-        gap = 0.0
-    return VarianceBound(lhs, rhs, gap)
+    if not gap >= -_SLACK_TOL * max(1.0, abs(lhs)):
+        raise RelationViolationError(f"variance bound violated by {gap!r}")
+    return VarianceBound(lhs, rhs, max(gap, 0.0))
 
 
 def cauchy_schwarz_check(
@@ -182,11 +180,11 @@ def analyze_pairs(
         slack_rs = product - rs
 
         scale = max(1.0, product, geo, rs)
-        if slack_geo < -_SLACK_TOL * scale:
+        if not slack_geo >= -_SLACK_TOL * scale:
             raise RelationViolationError(
                 f"geometric bound {geo!r} exceeds spread product {product!r}"
             )
-        if slack_rs < -_SLACK_TOL * scale:
+        if not slack_rs >= -_SLACK_TOL * scale:
             raise RelationViolationError(
                 f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
             )

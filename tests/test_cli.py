@@ -139,6 +139,24 @@ class TestAnalyze:
         obs.write_text(SPIN_OBSERVABLES_JSON)
         assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
 
+    def test_overflowing_observable_exits_2(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(STATE_JSON)
+        big = 0.5e160
+        obs = tmp_path / "big.json"
+        obs.write_text(
+            json.dumps(
+                {
+                    "observables": [
+                        {"name": "Sx", "matrix": [[[0, 0], [big, 0]], [[big, 0], [0, 0]]]},
+                        {"name": "Sy", "matrix": [[[0, 0], [0, -big]], [[0, big], [0, 0]]]},
+                    ]
+                }
+            )
+        )
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
+        assert "observables[0].matrix" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(SPIN_OBSERVABLES_JSON)

@@ -59,6 +59,12 @@ class TestObservableType:
         with pytest.raises(ValueError, match="square"):
             Observable(np.ones((2, 3)))
 
+    def test_rejects_overflowing_norm(self):
+        # The Frobenius norm overflows to inf, so the Hermiticity test alone
+        # would read inf > inf and accept this non-Hermitian matrix.
+        with pytest.raises(ValueError, match="norm overflows"):
+            Observable(1e160 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestExpectedValue:
     def test_sz_on_diagonal_state(self):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from phasegeo import uncertainty
 from phasegeo.bundle import DensityOperator, inertia_inner, standard_lift
 from phasegeo.observables import Observable, spin_half, xi_field, xi_perp
 from phasegeo.sampling import make_rng, sample_density, sample_hermitian, sample_spectrum
 from phasegeo.uncertainty import (
+    RelationViolationError,
     analyze_pair,
     cauchy_schwarz_check,
     geometric_bound,
@@ -209,3 +211,27 @@ class TestTieRuleScale:
             for c in (1e-5, 1e5):
                 scaled = analyze_pair(Observable(c * a.matrix), Observable(c * b.matrix), rho)
                 assert scaled.bound_winner == base.bound_winner
+
+
+class TestNanGuards:
+    """A NaN must fail the fault guards instead of slipping through them."""
+
+    @pytest.fixture()
+    def nan_brackets(self, monkeypatch):
+        def bracket_matrix(observables, rho, hbar=1.0, *, lift=None):
+            return np.full((len(observables), len(observables)), np.nan, dtype=complex)
+
+        monkeypatch.setattr(uncertainty, "bracket_matrix", bracket_matrix)
+
+    def test_analyze_pair_raises(self, nan_brackets):
+        with pytest.raises(RelationViolationError):
+            analyze_pair(SX, SY, RHO)
+
+    def test_variance_bound_check_raises(self, nan_brackets):
+        with pytest.raises(RelationViolationError):
+            variance_bound_check(SX, RHO)
+
+    def test_variance_raises(self, monkeypatch):
+        monkeypatch.setattr(uncertainty, "expected_value", lambda obs, rho: math.nan)
+        with pytest.raises(RelationViolationError):
+            variance(SX, RHO)
