@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, hermitian_eig, metric_g
+from .linalg import (
+    EigenDecomposition,
+    _check_hbar,
+    _hermitian_matrix,
+    _readonly,
+    as_complex_matrix,
+    hermitian_eig,
+    metric_g,
+)
 
 __all__ = [
     "DEG_TOL_DEFAULT",
@@ -65,17 +73,10 @@ DEG_TOL_DEFAULT = 1e-8
 TANGENCY_SILENT = 1e-9
 TANGENCY_ERROR = 1e-6
 
-_HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _LIFT_TOL = 1e-10
 _GAUGE_TOL = 1e-10
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,26 +157,24 @@ def block_projectors(spectrum: Spectrum) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace matrix: a mixed state."""
+    """Hermitian, positive-semidefinite, unit-trace matrix: a mixed state.
+
+    ``frame`` is the eigendecomposition made once by validation; its spectrum and lifts reuse it.
+    """
 
     matrix: np.ndarray
+    frame: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_complex_matrix(self.matrix, "density matrix")
-        n = a.shape[0]
-        if a.shape[1] != n:
-            raise ValueError(f"density matrix must be square, got shape {a.shape}")
-        norm = np.linalg.norm(a)
-        if np.linalg.norm(a - a.conj().T) > _HERM_TOL * max(norm, 1.0):
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        eig = hermitian_eig(a)
         tr = np.trace(a)
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        # Fast positivity screen; the geometric code never needs this frame.
-        low = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]
-        if low < -_PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {low!r}")
+        if eig.values[-1] < -_PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {eig.values[-1]!r}")
         object.__setattr__(self, "matrix", _readonly(a))
+        object.__setattr__(self, "frame", eig)
 
     @property
     def dim(self) -> int:
@@ -192,8 +191,7 @@ class Lift:
 
     def __post_init__(self):
         a = as_complex_matrix(self.psi, "lift")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        _check_hbar(self.hbar)
         k = self.spectrum.rank
         if a.shape[1] != k:
             raise ValueError(f"lift has {a.shape[1]} columns but the spectrum has rank {k}")
@@ -224,12 +222,7 @@ class GaugeAlgebraElement:
     spectrum: Spectrum | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        a = as_complex_matrix(self.xi, "gauge algebra element")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"gauge algebra element must be square, got shape {a.shape}")
-        norm = np.linalg.norm(a)
-        if np.linalg.norm(a + a.conj().T) > _HERM_TOL * max(norm, 1.0):
-            raise ValueError("gauge algebra element is not anti-Hermitian within tolerance")
+        a = _hermitian_matrix(self.xi, "gauge algebra element", anti=True)
         if self.spectrum is not None:
             _check_block_structure(a, self.spectrum)
         object.__setattr__(self, "xi", _readonly(a))
@@ -254,7 +247,7 @@ def _spectral_frame(
     """Rank-cut, degeneracy-grouped spectrum and the eigenvectors it keeps."""
     if rank_tol <= 0 or deg_tol <= 0:
         raise ValueError("rank_tol and deg_tol must be positive")
-    eig = hermitian_eig(rho.matrix)
+    eig = rho.frame
     cut = rank_tol * float(eig.values.sum())
     kept = [float(v) for v in eig.values if v >= cut and v > 0.0]
     if not kept:
@@ -388,8 +381,7 @@ def inertia_inner(
     Matches G(Psi xi, Psi eta) for every lift with this spectrum.  The hbar
     factor keeps that identity exact; see the package notes on conventions.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     _check_block_structure(xi.xi, spectrum)
     _check_block_structure(eta.xi, spectrum)
     p = np.asarray(spectrum.eigenvalues)

@@ -265,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             if not 0.0 < args.p1 < 1.0:
                 parser.error(f"--p1 must lie strictly between 0 and 1, got {args.p1}")
-            if args.hbar <= 0.0:
-                parser.error(f"--hbar must be positive, got {args.hbar}")
+            if not 0.0 < args.hbar < np.inf:
+                parser.error(f"--hbar must be positive and finite, got {args.hbar}")
             return cmd_demo_spin(args.p1, args.hbar)
         if args.command == "analyze":
             return cmd_analyze(args.state, args.observables, args.output, args.format)

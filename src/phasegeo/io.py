@@ -84,8 +84,8 @@ def parse_state(obj: Any) -> tuple[DensityOperator, float]:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise StateFileError(f"dimension: must be a positive integer, got {dim!r}")
     hbar = obj.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool) or hbar <= 0:
-        raise StateFileError(f"hbar: must be a positive number, got {hbar!r}")
+    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool) or not 0 < hbar < np.inf:
+        raise StateFileError(f"hbar: must be a positive finite number, got {hbar!r}")
     matrix = _parse_matrix(obj.get("matrix"), dim, "matrix")
     try:
         rho = DensityOperator(matrix)

@@ -26,7 +26,7 @@ __all__ = [
     "metric_g",
 ]
 
-# Relative Hermiticity tolerance accepted by hermitian_eig.
+# Relative Frobenius tolerance of every Hermitian or anti-Hermitian input.
 HERMITICITY_TOL = 1e-12
 
 # Smallest column modulus considered significant by the phase fix.
@@ -41,6 +41,34 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
+
+
+def _hermitian_matrix(m, name: str = "matrix", *, anti: bool = False) -> np.ndarray:
+    """Return ``m`` as a square complex128 array, Hermitian (or anti-Hermitian) within tolerance."""
+    a = as_complex_matrix(m, name)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    # An overflowed norm would make the Hermiticity test read inf > inf.
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} norm overflows; rescale its entries")
+    sign = -1.0 if anti else 1.0
+    if np.linalg.norm(a - sign * a.conj().T) > HERMITICITY_TOL * max(norm, 1.0):
+        raise ValueError(f"{name} is not {'anti-' if anti else ''}Hermitian within tolerance")
+    return a
+
+
+def _check_hbar(hbar: float) -> None:
+    """Reject an action scale outside 0 < hbar < inf, NaN included."""
+    if not 0.0 < hbar < np.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
@@ -63,15 +91,13 @@ def hs_inner(x, y) -> complex:
 
 def metric_g(x, y, hbar: float) -> float:
     """Riemannian pairing G(X,Y) = hbar*Tr(X†Y + Y†X) = 2*hbar*Re Tr(X†Y)."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     return 2.0 * hbar * hs_inner(x, y).real
 
 
 def form_omega(x, y, hbar: float) -> float:
     """Symplectic pairing Omega(X,Y) = -i*hbar*Tr(X†Y - Y†X) = 2*hbar*Im Tr(X†Y)."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     return 2.0 * hbar * hs_inner(x, y).imag
 
 
@@ -93,7 +119,7 @@ def anticommutator(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
+    """Descending eigenvalues with matching orthonormal eigenvector columns, both read-only."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -113,22 +139,12 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
 def hermitian_eig(h) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix with LAPACK's Hermitian solver.
 
-    The input is symmetrized before it is handed to ``np.linalg.eigh``, so
-    Hermiticity violations up to ``HERMITICITY_TOL`` (relative Frobenius)
-    are tolerated; anything larger is rejected.  On return the values are
-    sorted in descending order (stable, so exactly equal values keep the
-    order in which LAPACK returned them) and every eigenvector column
-    carries the deterministic phase fix from ``_fix_column_phases``.
+    The input must be square and Hermitian within ``HERMITICITY_TOL`` (relative
+    Frobenius, finite norm); it is symmetrized for ``np.linalg.eigh``.  Values
+    come back in stable descending order (exactly equal values keep LAPACK's
+    order) and every eigenvector column carries the ``_fix_column_phases`` fix.
     """
-    hm = as_complex_matrix(h, "H")
-    n = hm.shape[0]
-    if hm.shape[1] != n:
-        raise ValueError(f"eigendecomposition needs a square matrix, got shape {hm.shape}")
-
-    norm = np.linalg.norm(hm)
-    if np.linalg.norm(hm - hm.conj().T) > HERMITICITY_TOL * max(norm, 1.0):
-        raise ValueError("matrix is not Hermitian within tolerance")
-
+    hm = _hermitian_matrix(h)
     values, vectors = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], _fix_column_phases(vectors[:, order]))
+    return EigenDecomposition(_readonly(values[order]), _readonly(_fix_column_phases(vectors[:, order])))

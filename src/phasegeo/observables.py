@@ -30,7 +30,7 @@ from .bundle import (
     inertia_inner,
     standard_lift,
 )
-from .linalg import as_complex_matrix
+from .linalg import _check_hbar, _hermitian_matrix, _readonly
 
 __all__ = [
     "BracketPair",
@@ -50,8 +50,10 @@ __all__ = [
     "xi_perp",
 ]
 
-_HERM_TOL = 1e-12
 _IMAG_TOL = 1e-10
+
+# Absolute: bounds the largest entry of Psi Psi† - rho for a supplied lift.
+_LIFT_PROJECTION_TOL = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -65,19 +67,8 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_complex_matrix(self.matrix, "observable")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"observable must be square, got shape {a.shape}")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(a)
-        # An overflowed norm would make the Hermiticity test read inf > inf.
-        if not math.isfinite(norm):
-            raise ValueError("observable norm overflows; rescale its entries")
-        if np.linalg.norm(a - a.conj().T) > _HERM_TOL * max(norm, 1.0):
-            raise ValueError("observable is not Hermitian within tolerance")
-        out = a.copy()
-        out.setflags(write=False)
-        object.__setattr__(self, "matrix", out)
+        a = _hermitian_matrix(self.matrix, "observable")
+        object.__setattr__(self, "matrix", _readonly(a))
 
     @property
     def dim(self) -> int:
@@ -159,7 +150,7 @@ def _resolve_lift(rho: DensityOperator, hbar: float, lift: Lift | None) -> Lift:
     if lift.dim != rho.dim:
         raise ValueError(f"lift dimension {lift.dim} does not match state dimension {rho.dim}")
     m = lift.psi @ lift.psi.conj().T
-    if np.abs(m - rho.matrix).max() > 1e-8:
+    if np.abs(m - rho.matrix).max() > _LIFT_PROJECTION_TOL:
         raise ValueError("provided lift does not project onto the given state")
     return lift
 
@@ -208,8 +199,7 @@ def chi_element(k: int, hbar: float = 1.0) -> GaugeAlgebraElement:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     return GaugeAlgebraElement(-1j / math.sqrt(2.0 * hbar) * np.eye(k, dtype=np.complex128))
 
 
@@ -240,8 +230,6 @@ def sym_covariance(
     the trace expression Tr((AB+BA) rho)/2 - Tr(A rho) Tr(B rho); the
     agreement of the two routes is a tested identity, not an assumption.
     """
-    _require_dim(obs_a, rho.dim)
-    _require_dim(obs_b, rho.dim)
     psi = _resolve_lift(rho, hbar, lift)
     spectrum = psi.spectrum
     pair = brackets_at_lift(obs_a, obs_b, psi)

@@ -39,6 +39,8 @@ def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
 
 def _ginibre(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """n-by-m matrix of independent standard complex Gaussians."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
 
 
@@ -52,8 +54,6 @@ def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     phase convention that makes it Haar distributed (Mezzadri, Notices AMS
     54 (2007), arXiv:math-ph/0609050).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     q, r = np.linalg.qr(_ginibre(n, n, rng))
     d = r.diagonal()
     return q * (d / np.abs(d))
@@ -73,8 +73,6 @@ def sample_density(spectrum: Spectrum, n: int, rng: np.random.Generator) -> Dens
 
 def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     """Gaussian Hermitian observable (M + M†)/2 for complex Gaussian M."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     m = _ginibre(n, n, rng)
     return Observable(0.5 * (m + m.conj().T))
 

@@ -1,0 +1,141 @@
+"""Input rules shared by every layer: finite hbar, Hermiticity, one eigendecomposition per state."""
+
+import json
+
+import numpy as np
+import pytest
+
+from phasegeo.bundle import (
+    DensityOperator,
+    GaugeAlgebraElement,
+    Lift,
+    Spectrum,
+    inertia_inner,
+    spectrum_of,
+    standard_lift,
+)
+from phasegeo.cli import main
+from phasegeo.io import StateFileError, parse_state
+from phasegeo.linalg import form_omega, hermitian_eig, metric_g
+from phasegeo.observables import chi_element
+
+STATE_TEXT = (
+    '{"dimension": 2, "hbar": %s, '
+    '"matrix": [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}'
+)
+SPIN_OBSERVABLES_JSON = json.dumps(
+    {
+        "observables": [
+            {"name": "Sx", "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]},
+            {"name": "Sy", "matrix": [[[0, 0], [0, -0.5]], [[0, 0.5], [0, 0]]]},
+        ]
+    }
+)
+NON_FINITE = ("NaN", "Infinity")
+OVERFLOWING = 1e160 * np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _rank3_state():
+    return DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]).astype(np.complex128))
+
+
+class TestHbarMustBeFinite:
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_state_document_rejects_non_finite_hbar(self, token):
+        # Python's json accepts the NaN and Infinity tokens.
+        with pytest.raises(StateFileError, match="hbar"):
+            parse_state(json.loads(STATE_TEXT % token))
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_analyze_exits_2_on_non_finite_hbar(self, token, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(STATE_TEXT % token)
+        obs = tmp_path / "obs.json"
+        obs.write_text(SPIN_OBSERVABLES_JSON)
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
+        assert "hbar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_demo_rejects_non_finite_hbar_as_usage_error(self, value):
+        with pytest.raises(SystemExit) as err:
+            main(["demo", "spin", "--p1", "0.75", "--hbar", value])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lift_rejects_hbar(self, hbar):
+        lift = standard_lift(_rank3_state())
+        with pytest.raises(ValueError, match="hbar"):
+            Lift(lift.psi, lift.spectrum, hbar)
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf")])
+    def test_forms_and_gauge_algebra_reject_hbar(self, hbar):
+        x = np.eye(2, dtype=np.complex128)
+        spectrum = Spectrum((0.75, 0.25), (1, 1))
+        xi = GaugeAlgebraElement(np.diag([1j, -1j]), spectrum)
+        calls = (
+            lambda: metric_g(x, x, hbar),
+            lambda: form_omega(x, x, hbar),
+            lambda: inertia_inner(xi, xi, spectrum, hbar),
+            lambda: chi_element(2, hbar),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="hbar"):
+                call()
+
+
+class TestOverflowingNorm:
+    def test_gauge_algebra_element_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            GaugeAlgebraElement(OVERFLOWING)
+
+    def test_hermitian_eig_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            hermitian_eig(OVERFLOWING)
+
+
+@pytest.fixture()
+def solver_calls(monkeypatch):
+    """Count every call to numpy's Hermitian eigensolvers."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneEigendecompositionPerState:
+    def test_state_and_lift_share_one_solver_call(self, solver_calls):
+        rho = _rank3_state()
+        lift = standard_lift(rho, 0.5)
+        spectrum_of(rho)
+        assert solver_calls == ["eigh"]
+        np.testing.assert_allclose(lift.psi @ lift.psi.conj().T, rho.matrix, atol=1e-14)
+
+    def test_sweep_makes_one_solver_call_per_sample(self, solver_calls, capsys):
+        argv = ["sweep", "--dim", "4", "--rank", "3", "--samples", "5", "--seed", "1", "--format", "csv"]
+        assert main(argv) == 0
+        assert solver_calls == ["eigh"] * 5
+
+    def test_frame_is_read_only(self):
+        rho = _rank3_state()
+        with pytest.raises(ValueError):
+            rho.frame.values[0] = 0.0
+        with pytest.raises(ValueError):
+            rho.frame.vectors[0, 0] = 0.0
+
+    def test_frame_is_not_an_argument_nor_shown(self):
+        rho = _rank3_state()
+        assert "frame" not in repr(rho)
+        with pytest.raises(TypeError):
+            DensityOperator(rho.matrix, rho.frame)
+
+    def test_frame_matches_a_fresh_decomposition(self):
+        rho = _rank3_state()
+        eig = hermitian_eig(rho.matrix)
+        assert (rho.frame.values == eig.values).all()
+        assert (rho.frame.vectors == eig.vectors).all()
