@@ -32,9 +32,7 @@ from .bundle import (
 )
 from .linalg import (
     EigenDecomposition,
-    anticommutator,
     as_complex_matrix,
-    commutator,
     form_omega,
     hermitian_eig,
     hs_inner,

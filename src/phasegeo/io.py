@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -149,9 +148,8 @@ def report_to_dict(report: UncertaintyReport, a: str | None = None, b: str | Non
         out["a"] = a
     if b is not None:
         out["b"] = b
-    data = asdict(report)
     for key in REPORT_FIELDS:
-        out[key] = data[key]
+        out[key] = getattr(report, key)
     return out
 
 

@@ -17,9 +17,7 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
-    "anticommutator",
     "as_complex_matrix",
-    "commutator",
     "form_omega",
     "hermitian_eig",
     "hs_inner",
@@ -76,11 +74,6 @@ def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
-def _require_square_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"operands must be square and of equal dimension, got {a.shape} and {b.shape}")
-
-
 def hs_inner(x, y) -> complex:
     """Hilbert-Schmidt Hermitian product Tr(X†Y) of two same-shape matrices."""
     xm = as_complex_matrix(x, "X")
@@ -99,22 +92,6 @@ def form_omega(x, y, hbar: float) -> float:
     """Symplectic pairing Omega(X,Y) = -i*hbar*Tr(X†Y - Y†X) = 2*hbar*Im Tr(X†Y)."""
     _check_hbar(hbar)
     return 2.0 * hbar * hs_inner(x, y).imag
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA for square matrices of equal dimension."""
-    am = as_complex_matrix(a, "A")
-    bm = as_complex_matrix(b, "B")
-    _require_square_pair(am, bm)
-    return am @ bm - bm @ am
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """AB + BA for square matrices of equal dimension."""
-    am = as_complex_matrix(a, "A")
-    bm = as_complex_matrix(b, "B")
-    _require_square_pair(am, bm)
-    return am @ bm + bm @ am
 
 
 @dataclass(frozen=True)

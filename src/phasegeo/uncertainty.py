@@ -7,8 +7,15 @@ The central result is the geometric lower bound
 obtained from the variance inequality together with the Cauchy-Schwarz
 estimate on the horizontal lifts.  The standard Robertson-Schrodinger bound
 (commutator plus symmetrized covariance) is computed alongside as the
-comparison baseline; it is implemented from the usual mixed-state trace
-formulas and makes no geometric claim.
+comparison baseline and makes no geometric claim.  analyze_pairs reads it
+as |Sigma_ab| from one covariance matrix per state,
+
+    Sigma_ij = Tr(A_i A_j rho) - <A_i><A_j>,
+
+whose real part is the symmetrized covariance and whose imaginary part is
+half the commutator term.  rs_bound, variance and expected_value evaluate
+the usual mixed-state trace formulas pair by pair; they are the reference
+that the tests and the verify battery compare the matrix route against.
 """
 
 from __future__ import annotations
@@ -162,20 +169,24 @@ def analyze_pairs(
 ) -> list[UncertaintyReport]:
     """Uncertainty reports for every pair i < j of observables, row-major.
 
-    All brackets come from one bracket matrix and each spread is computed
+    All brackets come from one bracket matrix, every RS bound from one
+    covariance matrix Sigma (RS = |Sigma_ij|), and each spread is computed
     once per observable.  Raises RelationViolationError if either bound
     exceeds the spread product beyond tolerance; that can only mean a
     numerical or implementation fault.
     """
     z = bracket_matrix(observables, rho, hbar, lift=lift)
     spreads = [math.sqrt(variance(obs, rho)) for obs in observables]
+    means = np.array([expected_value(obs, rho) for obs in observables])
+    mats = np.array([obs.matrix for obs in observables]).reshape(-1, rho.dim, rho.dim)
+    sigma = np.einsum("ikl,jlk->ij", mats, mats @ rho.matrix) - np.outer(means, means)
     reports = []
     for i, j in combinations(range(len(observables)), 2):
         da, db = spreads[i], spreads[j]
         product = da * db
         bracket = complex(z[i, j])
         geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
-        rs = rs_bound(observables[i], observables[j], rho)
+        rs = math.hypot(sigma[i, j].real, sigma[i, j].imag)
         slack_geo = product - geo
         slack_rs = product - rs
 

@@ -52,7 +52,7 @@ from .sampling import (
     sample_spectrum,
     sample_unitary,
 )
-from .uncertainty import analyze_pair, cauchy_schwarz_check, variance_bound_check
+from .uncertainty import analyze_pair, cauchy_schwarz_check, rs_bound, variance_bound_check
 
 __all__ = ["CheckResult", "run_battery", "tolerance_scale"]
 
@@ -234,6 +234,10 @@ def _check_covariance_identity(dim, rng, hbar):
         (a.matrix @ b.matrix + b.matrix @ a.matrix) @ rho.matrix
     ).real - expected_value(a, rho) * expected_value(b, rho)
     yield _rel(geo - oracle, oracle)
+    # The production RS bound (read from one covariance matrix) against
+    # the trace-formula reference.
+    ref = rs_bound(a, b, rho)
+    yield _rel(analyze_pair(a, b, rho, hbar, lift=lift).rs_bound - ref, ref)
 
 
 def _check_pure_state_kibble(dim, rng, hbar):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phasegeo import bundle
+from phasegeo import bundle, uncertainty
 from phasegeo.bundle import DensityOperator, split, standard_lift
 from phasegeo.linalg import form_omega, metric_g
 from phasegeo.observables import Observable, bracket_matrix, ham_field
@@ -175,3 +175,24 @@ class TestOneEigendecompositionPerCall:
         rho, observables = _case("multiplicities_1_2_3_rank_cut", 1.0)
         analyze_pairs(observables, rho)
         assert len(eig_calls) == 1
+
+
+class TestOneCovarianceMatrixPerCall:
+    @pytest.fixture()
+    def trace_calls(self, monkeypatch):
+        calls = {"rs_bound": 0, "expected_value": 0}
+        for name in calls:
+            real = getattr(uncertainty, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(uncertainty, name, counting)
+        return calls
+
+    def test_analyze_pairs(self, trace_calls):
+        rho, observables = _case("multiplicities_1_2_3_rank_cut", 1.0)
+        analyze_pairs(observables, rho)
+        assert trace_calls["rs_bound"] == 0
+        assert trace_calls["expected_value"] <= 2 * OBSERVABLES

@@ -1,0 +1,99 @@
+"""Tests for the verdicts of tools/compare_outputs.py on synthetic CLI outputs."""
+
+import copy
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+REPORT = {
+    "a": "A",
+    "b": "B",
+    "delta_a": 0.63205133253771,
+    "delta_b": 0.739349428547593,
+    "product": 0.46730679152450055,
+    "geometric_bound": 0.46511157452375224,
+    "rs_bound": 0.464217057461701,
+    "slack_rs": 0.003089734062799554,
+    "bound_winner": "geometric",
+}
+
+VERIFY = (
+    "PASS  polar_identity             worst_residual=0.000e+00  tolerance=1.0e-12\n"
+    "PASS  covariance_identity        worst_residual=3.331e-16  tolerance=1.0e-09\n"
+)
+
+
+def _proc(stdout, returncode=0):
+    return subprocess.CompletedProcess([], returncode, stdout=stdout, stderr="")
+
+
+def _analyze(*reports):
+    return _proc(json.dumps({"hbar": 1.0, "reports": list(reports)}, indent=2))
+
+
+def _with(**changes):
+    return {**copy.deepcopy(REPORT), **changes}
+
+
+def test_identical_outputs_are_byte_identical():
+    assert compare_outputs.compare_case(_analyze(REPORT), _analyze(REPORT), "json") == (
+        "byte-identical",
+        True,
+    )
+
+
+@pytest.mark.parametrize(("factor", "agree"), [(1 + 2e-16, True), (1 + 1e-13, False)])
+def test_float_drift_is_judged_against_record_scale(factor, agree):
+    new = _with(rs_bound=REPORT["rs_bound"] * factor)
+    line, ok = compare_outputs.compare_case(_analyze(REPORT), _analyze(new), "json")
+    assert ok is agree
+    assert line.startswith("rs_bound ")
+
+
+@pytest.mark.parametrize(
+    "new",
+    [
+        _analyze(_with(bound_winner="rs")),
+        _analyze(REPORT, REPORT),
+        _analyze(_with(b="C")),
+        _proc(_analyze(REPORT).stdout, returncode=3),
+    ],
+    ids=["winner_flip", "record_count", "name", "exit_status"],
+)
+def test_structural_differences_disagree(new):
+    _, ok = compare_outputs.compare_case(_analyze(REPORT), new, "json")
+    assert not ok
+
+
+def test_one_sided_nan_disagrees():
+    _, ok = compare_outputs.compare_case(
+        _analyze(REPORT), _analyze(_with(slack_rs=float("nan"))), "json"
+    )
+    assert not ok
+
+
+def test_csv_records_compare_by_value():
+    header = ",".join(REPORT)
+    old = _proc(header + "\n" + ",".join(map(str, REPORT.values())) + "\n")
+    new = _proc(old.stdout.replace("0.464217057461701", "0.4642170574617011"))
+    line, ok = compare_outputs.compare_case(old, new, "csv")
+    assert ok
+    assert line.startswith("rs_bound ")
+
+
+def test_verify_residual_change_agrees_and_verdict_change_does_not():
+    changed = _proc(VERIFY.replace("3.331e-16", "2.220e-16"))
+    line, ok = compare_outputs.compare_case(_proc(VERIFY), changed, "verify")
+    assert ok
+    assert line == "residuals changed: covariance_identity 3.331e-16 -> 2.220e-16"
+    failed = _proc(VERIFY.replace("PASS  covariance", "FAIL  covariance"))
+    _, ok = compare_outputs.compare_case(_proc(VERIFY), failed, "verify")
+    assert not ok

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -140,6 +141,13 @@ class TestReportSerialization:
         back = read_reports_csv(io.StringIO(buf.getvalue()), ("a", "b"))
         for rec, rep in zip(back, reps):
             assert report_from_dict(rec) == rep
+
+    def test_report_to_dict_matches_dataclass_fields(self):
+        rep = _random_report(67)
+        data = asdict(rep)
+        expected = {"a": "A", "b": "B", **{key: data[key] for key in REPORT_FIELDS}}
+        assert repr(report_to_dict(rep, "A", "B")) == repr(expected)
+        assert list(report_to_dict(rep)) == list(REPORT_FIELDS)
 
     def test_csv_header_order_is_documented(self):
         buf = io.StringIO()

@@ -10,8 +10,6 @@ from phasegeo.bundle import DensityOperator, project, standard_lift
 from phasegeo.linalg import (
     PHASE_FIX_TOL,
     _fix_column_phases,
-    anticommutator,
-    commutator,
     form_omega,
     hermitian_eig,
     hs_inner,
@@ -104,24 +102,6 @@ class TestMetricAndForm:
         a, b = 2.5, -1.75
         got = metric_g(a * x + b * z, y, 1.0)
         assert got == pytest.approx(a * metric_g(x, y, 1.0) + b * metric_g(z, y, 1.0), rel=1e-12)
-
-
-class TestCommutators:
-    def test_pauli_commutator(self):
-        np.testing.assert_allclose(commutator(SX, SY), 2j * SZ)
-
-    def test_pauli_anticommutator(self):
-        np.testing.assert_allclose(anticommutator(SX, SY), np.zeros((2, 2)))
-
-    def test_self_commutator_vanishes(self):
-        a = random_hermitian_matrix(4, np.random.default_rng(3))
-        np.testing.assert_allclose(commutator(a, a), np.zeros((4, 4)))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            commutator(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError):
-            anticommutator(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestHermitianEig:

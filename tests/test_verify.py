@@ -60,3 +60,12 @@ def test_negative_zero_residual_reports_as_zero():
     result = {r.name: r for r in verify.run_battery(2, 1, 12)}["uncertainty_slacks"]
     assert result.worst_residual == 0.0
     assert math.copysign(1.0, result.worst_residual) == 1.0
+
+
+def test_covariance_identity_checks_production_rs_against_reference(monkeypatch):
+    # A reference RS bound that disagrees with analyze_pair's must fail
+    # covariance_identity and nothing else.
+    reference = verify.rs_bound
+    monkeypatch.setattr(verify, "rs_bound", lambda a, b, rho: 1.01 * reference(a, b, rho))
+    failed = {r.name for r in verify.run_battery(4, 8, 1) if not r.passed}
+    assert failed == {"covariance_identity"}
