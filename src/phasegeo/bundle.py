@@ -33,7 +33,10 @@ import numpy as np
 from .linalg import (
     EigenDecomposition,
     _check_hbar,
+    _complex_array,
+    _dagger,
     _hermitian_matrix,
+    _hermitize,
     _readonly,
     as_complex_matrix,
     hermitian_eig,
@@ -96,28 +99,7 @@ class Spectrum:
     degeneracy_tolerance: float = DEG_TOL_DEFAULT
 
     def __post_init__(self):
-        p = self.eigenvalues
-        m = self.multiplicities
-        if not p:
-            raise ValueError("spectrum must contain at least one eigenvalue")
-        if any(v <= 0 or not np.isfinite(v) for v in p):
-            raise ValueError("spectrum eigenvalues must be finite and strictly positive")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError("spectrum eigenvalues must be non-increasing")
-        if abs(sum(p) - 1.0) > _TRACE_TOL:
-            raise ValueError(f"spectrum eigenvalues must sum to 1, got {sum(p)!r}")
-        if self.degeneracy_tolerance <= 0:
-            raise ValueError("degeneracy_tolerance must be positive")
-        if any(mi < 1 or mi != int(mi) for mi in m):
-            raise ValueError("multiplicities must be positive integers")
-        if sum(m) != len(p):
-            raise ValueError("multiplicities must sum to the number of eigenvalues")
-        for slc in self.block_slices:
-            if any(v != p[slc.start] for v in p[slc]):
-                raise ValueError("eigenvalues within a multiplicity block must be identical")
-        values = self.distinct_values
-        if any(a - b <= self.degeneracy_tolerance * p[0] for a, b in zip(values, values[1:])):
-            raise ValueError("distinct eigenvalues lie within the degeneracy tolerance")
+        _check_spectra(np.array([self.eigenvalues], dtype=float), self.multiplicities, self.degeneracy_tolerance)
 
     @property
     def rank(self) -> int:
@@ -144,6 +126,34 @@ class Spectrum:
         return np.diag(np.asarray(self.eigenvalues, dtype=np.complex128))
 
 
+def _check_spectra(p: np.ndarray, multiplicities: tuple[int, ...], deg_tol: float) -> None:
+    """The Spectrum rules on every row of a stack (G, k) of eigenvalues sharing one block structure."""
+    if p.shape[-1] == 0:
+        raise ValueError("spectrum must contain at least one eigenvalue")
+    # min/max propagate NaN, which then fails the comparison.
+    if not (p.min() > 0 and p.max() < np.inf):
+        raise ValueError("spectrum eigenvalues must be finite and strictly positive")
+    gaps = p[:, :-1] - p[:, 1:]
+    if np.count_nonzero(gaps < 0):
+        raise ValueError("spectrum eigenvalues must be non-increasing")
+    if np.count_nonzero(bad := np.abs(p.sum(axis=-1) - 1.0) > _TRACE_TOL):
+        raise ValueError(f"spectrum eigenvalues must sum to 1, got {sum(p[bad.argmax()].tolist())!r}")
+    if deg_tol <= 0:
+        raise ValueError("degeneracy_tolerance must be positive")
+    if any(mi < 1 or mi != int(mi) for mi in multiplicities):
+        raise ValueError("multiplicities must be positive integers")
+    if sum(multiplicities) != p.shape[-1]:
+        raise ValueError("multiplicities must sum to the number of eigenvalues")
+    if len(multiplicities) < p.shape[-1]:
+        counts = [int(mi) for mi in multiplicities]
+        distinct = p[:, np.cumsum([0, *counts[:-1]])]
+        if (p != np.repeat(distinct, counts, axis=-1)).any():
+            raise ValueError("eigenvalues within a multiplicity block must be identical")
+        gaps = distinct[:, :-1] - distinct[:, 1:]
+    if np.count_nonzero(gaps <= deg_tol * p[:, :1]):
+        raise ValueError("distinct eigenvalues lie within the degeneracy tolerance")
+
+
 def block_projectors(spectrum: Spectrum) -> tuple[np.ndarray, ...]:
     """Diagonal projectors E_j onto the multiplicity blocks, E_1 + ... + E_l = 1."""
     k = spectrum.rank
@@ -166,19 +176,25 @@ class DensityOperator:
     frame: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = as_complex_matrix(self.matrix, "density matrix")
-        eig = hermitian_eig(a)
-        tr = np.trace(a)
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        if eig.values[-1] < -_PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eig.values[-1]!r}")
+        a, eig = _density_frames(self.matrix)
         object.__setattr__(self, "matrix", _readonly(a))
         object.__setattr__(self, "frame", eig)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _density_frames(m, stacked: bool = False) -> tuple[np.ndarray, EigenDecomposition]:
+    """The DensityOperator rules on one matrix or each slice of a stack: the array and its eigendecomposition."""
+    a = _complex_array(m, "density matrix", stacked)
+    eig = hermitian_eig(a)
+    tr = a.trace(axis1=-2, axis2=-1)
+    if np.count_nonzero(bad := np.abs(tr - 1.0) > _TRACE_TOL):
+        raise ValueError(f"density matrix trace must be 1, got {np.ravel(tr)[bad.argmax()]!r}")
+    if np.count_nonzero(bad := eig.values[..., -1] < -_PSD_TOL):
+        raise ValueError(f"density matrix has negative eigenvalue {np.ravel(eig.values[..., -1])[bad.argmax()]!r}")
+    return a, eig
 
 
 @dataclass(frozen=True)
@@ -190,14 +206,7 @@ class Lift:
     hbar: float = 1.0
 
     def __post_init__(self):
-        a = as_complex_matrix(self.psi, "lift")
-        _check_hbar(self.hbar)
-        k = self.spectrum.rank
-        if a.shape[1] != k:
-            raise ValueError(f"lift has {a.shape[1]} columns but the spectrum has rank {k}")
-        gram = a.conj().T @ a
-        if np.abs(gram - self.spectrum.p_matrix()).max() > _LIFT_TOL:
-            raise ValueError("lift does not satisfy psi† psi = P(sigma) within tolerance")
+        a = _lift_array(self.psi, np.asarray(self.spectrum.eigenvalues), self.hbar)
         object.__setattr__(self, "psi", _readonly(a))
 
     @property
@@ -207,6 +216,24 @@ class Lift:
     @property
     def rank(self) -> int:
         return self.psi.shape[1]
+
+
+def _lift_array(psi, eigenvalues: np.ndarray, hbar: float, stacked: bool = False) -> np.ndarray:
+    """The Lift rules on one lift, or on every slice of a stack (..., n, k) with eigenvalues (..., k)."""
+    a = _complex_array(psi, "lift", stacked)
+    _check_hbar(hbar)
+    k = eigenvalues.shape[-1]
+    if a.shape[-1] != k:
+        raise ValueError(f"lift has {a.shape[-1]} columns but the spectrum has rank {k}")
+    gram = _dagger(a) @ a
+    if np.abs(gram - eigenvalues[..., None] * np.eye(k)).max() > _LIFT_TOL:
+        raise ValueError("lift does not satisfy psi† psi = P(sigma) within tolerance")
+    return a
+
+
+def _standard_psi(vectors: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Psi = V sqrt(P) from eigenvector frames (..., n, n) and retained eigenvalues (..., k)."""
+    return vectors[..., : p.shape[-1]] * np.sqrt(p)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -241,32 +268,27 @@ def _check_block_structure(xi: np.ndarray, spectrum: Spectrum) -> None:
         raise ValueError("element does not commute with P(sigma): not in the gauge algebra")
 
 
-def _spectral_frame(
-    rho: DensityOperator, rank_tol: float, deg_tol: float
-) -> tuple[Spectrum, np.ndarray]:
-    """Rank-cut, degeneracy-grouped spectrum and the eigenvectors it keeps."""
+def _spectral_groups(values: np.ndarray, rank_tol: float, deg_tol: float):
+    """``spectrum_of`` on each row of a stack (S, n): rows, multiplicities, eigenvalues (G, k) per structure."""
     if rank_tol <= 0 or deg_tol <= 0:
         raise ValueError("rank_tol and deg_tol must be positive")
-    eig = rho.frame
-    cut = rank_tol * float(eig.values.sum())
-    kept = [float(v) for v in eig.values if v >= cut and v > 0.0]
-    if not kept:
-        raise ValueError("all eigenvalues fall below the rank cut (zero operator)")
-    gap_floor = deg_tol * kept[0]
-    clusters: list[list[float]] = [[kept[0]]]
-    for v in kept[1:]:
-        if clusters[-1][-1] - v <= gap_floor:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    eigenvalues: list[float] = []
-    multiplicities: list[int] = []
-    for cluster in clusters:
-        mean = sum(cluster) / len(cluster)
-        eigenvalues.extend([mean] * len(cluster))
-        multiplicities.append(len(cluster))
-    spectrum = Spectrum(tuple(eigenvalues), tuple(multiplicities), deg_tol)
-    return spectrum, eig.vectors[:, : spectrum.rank]
+    n = values.shape[-1]
+    kept = (values >= rank_tol * values.sum(axis=-1, keepdims=True)) & (values > 0.0)
+    merged = kept[:, 1:] & (values[:, :-1] - values[:, 1:] <= deg_tol * values[:, :1])
+    groups: dict[bytes, list[int]] = {}
+    for row, (kept_row, merged_row) in enumerate(zip(kept.tolist(), merged.tolist())):
+        groups.setdefault(bytes(kept_row + merged_row), []).append(row)
+    for key, rows in groups.items():
+        k = sum(key[:n])
+        if k == 0:
+            raise ValueError("all eigenvalues fall below the rank cut (zero operator)")
+        starts = [0] + [j + 1 for j in range(k - 1) if not key[n + j]]
+        multiplicities = tuple(b - a for a, b in zip(starts, starts[1:] + [k]))
+        p = values.take(rows, axis=0)[:, :k]
+        for a, m in zip(starts, multiplicities):
+            if m > 1:  # the cluster mean, summed left to right
+                p[:, a : a + m] = (sum((p[:, j] for j in range(a + 1, a + m)), p[:, a]) / m)[:, None]
+        yield rows, multiplicities, p
 
 
 def spectrum_of(
@@ -281,7 +303,8 @@ def spectrum_of(
     eigenvalue are merged into one multiplicity block represented by the
     cluster mean.
     """
-    return _spectral_frame(rho, rank_tol, deg_tol)[0]
+    ((_, multiplicities, p),) = _spectral_groups(rho.frame.values[None], rank_tol, deg_tol)
+    return Spectrum(tuple(p[0].tolist()), multiplicities, deg_tol)
 
 
 def standard_lift(
@@ -295,14 +318,13 @@ def standard_lift(
     V holds the eigenvectors of the retained eigenvalues, so the result is
     reproducible across runs and projects back onto ``rho``.
     """
-    spectrum, vectors = _spectral_frame(rho, rank_tol, deg_tol)
-    return Lift(vectors * np.sqrt(spectrum.eigenvalues), spectrum, hbar)
+    spectrum = spectrum_of(rho, rank_tol, deg_tol)
+    return Lift(_standard_psi(rho.frame.vectors, np.asarray(spectrum.eigenvalues)), spectrum, hbar)
 
 
 def project(psi: Lift) -> DensityOperator:
     """Bundle map: send a lift Psi to the density operator Psi Psi†."""
-    m = psi.psi @ psi.psi.conj().T
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(_hermitize(psi.psi @ _dagger(psi.psi)))
 
 
 def gauge_transform(psi: Lift, u) -> Lift:

@@ -30,9 +30,10 @@ from .io import (
     write_reports_csv,
     write_reports_json,
 )
+from .linalg import _hermitize
 from .observables import expected_value, ham_field, spin_half
-from .sampling import make_rng, sample_density, sample_hermitian, sample_spectrum
-from .uncertainty import RelationViolationError, analyze_pair, analyze_pairs
+from .sampling import _ginibre, _haar, _orbit_states, make_rng, sample_spectrum
+from .uncertainty import RelationViolationError, _analyze_states, analyze_pair, analyze_pairs
 from .verify import run_battery
 
 __all__ = ["main", "entry"]
@@ -44,6 +45,9 @@ EXIT_VIOLATION = 3
 DEMO_TOL = 1e-10
 
 _SWEEP_EXTRA_FIELDS = ("sample_index", "seed", "dimension", "rank")
+
+# Matrix entries per stacked sweep chunk (of at least one sample): bounds the memory of a long sweep.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -157,20 +161,14 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
 def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, fmt: str) -> int:
     spectrum, resampled = sample_spectrum(rank, make_rng(seed, 0))
     records = []
-    for index in range(samples):
-        rng = make_rng(seed, 1, index)
-        rho = sample_density(spectrum, dim, rng)
-        obs_a = sample_hermitian(dim, rng)
-        obs_b = sample_hermitian(dim, rng)
-        rep = analyze_pair(obs_a, obs_b, rho, hbar=1.0)
-        rec = {
-            "sample_index": index,
-            "seed": seed,
-            "dimension": dim,
-            "rank": rank,
-        }
-        rec.update(report_to_dict(rep))
-        records.append(rec)
+    chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
+    for start in range(0, samples, chunk):
+        indices = range(start, min(start + chunk, samples))
+        # Per-index streams draw what sample_density and two sample_hermitian calls would, in order.
+        g = np.array([_ginibre(dim, dim, make_rng(seed, 1, index), 3) for index in indices])
+        reports = _analyze_states(_hermitize(g[:, 1:]), _orbit_states(spectrum, _haar(g[:, 0])), 1.0)
+        for index, (rep,) in zip(indices, reports):
+            records.append(dict(zip(_SWEEP_EXTRA_FIELDS, (index, seed, dim, rank)), **report_to_dict(rep)))
 
     winners = [rec["bound_winner"] for rec in records]
     summary = {

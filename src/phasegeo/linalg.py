@@ -33,28 +33,45 @@ PHASE_FIX_TOL = 1e-12
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a 2-D complex128 array, rejecting non-finite entries."""
+    return _complex_array(m, name)
+
+
+def _complex_array(m, name: str, stacked: bool = False) -> np.ndarray:
+    """``as_complex_matrix``, or with ``stacked`` the same rule on a stack (..., r, c) of matrices."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if (a.ndim < 2 if stacked else a.ndim != 2) or 0 in a.shape[-2:]:
         raise ValueError(f"{name} must be 2-D with positive dimensions, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
 
 
-def _hermitian_matrix(m, name: str = "matrix", *, anti: bool = False) -> np.ndarray:
-    """Return ``m`` as a square complex128 array, Hermitian (or anti-Hermitian) within tolerance."""
-    a = as_complex_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
+def _hermitian_matrix(m, name: str = "matrix", *, anti: bool = False, stacked: bool = False) -> np.ndarray:
+    """Return ``m`` as a square complex128 array (or stack), Hermitian or anti-Hermitian within tolerance."""
+    a = _complex_array(m, name, stacked)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    axis = None if a.ndim == 2 else (-2, -1)  # per slice; the whole-array norm is cheaper on one matrix
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(a)
+        norm = np.linalg.norm(a, axis=axis)
     # An overflowed norm would make the Hermiticity test read inf > inf.
-    if not np.isfinite(norm):
+    if np.count_nonzero(norm == np.inf):
         raise ValueError(f"{name} norm overflows; rescale its entries")
-    sign = -1.0 if anti else 1.0
-    if np.linalg.norm(a - sign * a.conj().T) > HERMITICITY_TOL * max(norm, 1.0):
+    defect = np.linalg.norm(a + _dagger(a) if anti else a - _dagger(a), axis=axis)
+    # np.count_nonzero is the cheapest any() on the small arrays of one state.
+    if np.count_nonzero(defect > HERMITICITY_TOL * np.maximum(norm, 1.0)):
         raise ValueError(f"{name} is not {'anti-' if anti else ''}Hermitian within tolerance")
     return a
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack (..., r, c)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (A + A†)/2 of each matrix in a stack."""
+    return 0.5 * (a + _dagger(a))
 
 
 def _check_hbar(hbar: float) -> None:
@@ -103,25 +120,29 @@ class EigenDecomposition:
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rephase each column so its first component of modulus > PHASE_FIX_TOL is real positive."""
+    """Rephase each column (in a stack too) so its first component of modulus > PHASE_FIX_TOL is real positive."""
     mask = np.abs(vectors) > PHASE_FIX_TOL
-    significant = mask.any(axis=0)
-    pivots = vectors[mask.argmax(axis=0), np.arange(vectors.shape[1])][significant]
-    factors = np.ones(vectors.shape[1], dtype=np.complex128)
+    first = mask.argmax(axis=-2)[..., None, :]
+    if np.count_nonzero(first):
+        pivots, significant = np.take_along_axis(vectors, first, -2), np.take_along_axis(mask, first, -2)
+    else:  # every pivot sits in the first row (the usual case), and slicing is cheaper
+        pivots, significant = vectors[..., :1, :], mask[..., :1, :]
     # hypot rounds like scalar abs(); np.abs on complex arrays may not.
-    factors[significant] = pivots.conj() / np.hypot(pivots.real, pivots.imag)
-    return vectors * factors
+    moduli = np.where(significant, np.hypot(pivots.real, pivots.imag), 1.0)
+    return vectors * np.where(significant, pivots.conj() / moduli, 1.0)
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK's Hermitian solver.
+    """Diagonalize a Hermitian matrix, or each matrix of a stack (..., n, n), with LAPACK.
 
-    The input must be square and Hermitian within ``HERMITICITY_TOL`` (relative
-    Frobenius, finite norm); it is symmetrized for ``np.linalg.eigh``.  Values
-    come back in stable descending order (exactly equal values keep LAPACK's
-    order) and every eigenvector column carries the ``_fix_column_phases`` fix.
+    Every matrix must be square and Hermitian within ``HERMITICITY_TOL`` (relative Frobenius, finite
+    norm); it is symmetrized for ``np.linalg.eigh``.  Values come back in stable descending order (equal
+    values keep LAPACK's order) and every eigenvector column carries the ``_fix_column_phases`` fix.
     """
-    hm = _hermitian_matrix(h)
-    values, vectors = np.linalg.eigh(0.5 * (hm + hm.conj().T))
-    order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(_readonly(values[order]), _readonly(_fix_column_phases(vectors[:, order])))
+    values, vectors = np.linalg.eigh(_hermitize(_hermitian_matrix(h, stacked=True)))
+    if np.count_nonzero(values[..., 1:] == values[..., :-1]):
+        order = np.argsort(-values, axis=-1, kind="stable")
+        values, vectors = np.take_along_axis(values, order, -1), np.take_along_axis(vectors, order[..., None, :], -1)
+    else:  # LAPACK returns ascending values; without ties, reversal is the stable descending sort
+        values, vectors = values[..., ::-1], vectors[..., ::-1]
+    return EigenDecomposition(_readonly(values), _readonly(_fix_column_phases(vectors)))

@@ -30,7 +30,7 @@ from .bundle import (
     inertia_inner,
     standard_lift,
 )
-from .linalg import _check_hbar, _hermitian_matrix, _readonly
+from .linalg import _check_hbar, _dagger, _hermitian_matrix, _readonly
 
 __all__ = [
     "BracketPair",
@@ -98,13 +98,24 @@ def _require_dim(obs: Observable, dim: int) -> None:
         raise ValueError(f"observable dimension {obs.dim} does not match state dimension {dim}")
 
 
-def expected_value(obs: Observable, rho: DensityOperator) -> float:
-    """Expectation Tr(A rho); the imaginary residue must be negligible."""
-    _require_dim(obs, rho.dim)
-    t = complex(np.trace(obs.matrix @ rho.matrix))
+def _stack(observables: Sequence[Observable], dim: int) -> np.ndarray:
+    """The observables' matrices as one (N, dim, dim) array, each checked against ``dim``."""
+    for obs in observables:
+        _require_dim(obs, dim)
+    return np.array([obs.matrix for obs in observables]).reshape(-1, dim, dim)
+
+
+def _real_trace(t: complex) -> float:
+    """The real part of an expectation trace Tr(A rho); its imaginary residue must be negligible."""
     if abs(t.imag) > _IMAG_TOL * max(1.0, abs(t)):
         raise ArithmeticError(f"expectation has non-real residue {t.imag!r}")
     return t.real
+
+
+def expected_value(obs: Observable, rho: DensityOperator) -> float:
+    """Expectation Tr(A rho); the imaginary residue must be negligible."""
+    _require_dim(obs, rho.dim)
+    return _real_trace(complex(np.trace(obs.matrix @ rho.matrix)))
 
 
 def ham_field(obs: Observable, psi: Lift) -> np.ndarray:
@@ -113,23 +124,26 @@ def ham_field(obs: Observable, psi: Lift) -> np.ndarray:
     return obs.matrix @ psi.psi / (1j * psi.hbar)
 
 
-def _bracket_kernel(observables: Sequence[Observable], psi: Lift) -> np.ndarray:
-    """Z_ij = {A_i,A_j}_g + i {A_i,A_j}_omega at one lift.
+def _bracket_kernel(mats: np.ndarray, psi: np.ndarray, eigenvalues, multiplicities, hbar: float) -> np.ndarray:
+    """Z_ij = {A_i,A_j}_g + i {A_i,A_j}_omega at one lift, or at each lift of a stack.
 
+    Observables ``mats`` (..., N, n, n), lifts ``psi`` (..., n, k), spectra ``eigenvalues`` (..., k).
     i hbar times the horizontal part of X_A is A Psi - Psi xi, with xi the
     block-diagonal part of Psi† A Psi over the block eigenvalue; Z is 2/hbar
     times the Gram matrix of these (see the README for the closed form).
     """
-    for obs in observables:
-        _require_dim(obs, psi.dim)
-    n, k = psi.psi.shape
-    mats = np.array([obs.matrix for obs in observables]).reshape(-1, n, n)
-    b = mats @ psi.psi
-    c = psi.psi.conj().T @ b
-    block = np.repeat(np.arange(len(psi.spectrum.multiplicities)), psi.spectrum.multiplicities)
-    inv_p = (block[:, None] == block) / np.asarray(psi.spectrum.eigenvalues)
-    h = (b - psi.psi @ (c * inv_p)).reshape(len(mats), n * k)
-    return (2.0 / psi.hbar) * (h.conj() @ h.T)
+    n, k = psi.shape[-2:]
+    psi = psi[..., None, :, :]
+    b = mats @ psi
+    c = _dagger(psi) @ b
+    block = np.repeat(np.arange(len(multiplicities)), multiplicities)
+    inv_p = (block[:, None] == block) / np.asarray(eigenvalues)[..., None, None, :]
+    h = (b - psi @ (c * inv_p)).reshape(*b.shape[:-2], n * k)
+    return (2.0 / hbar) * (h.conj() @ h.swapaxes(-1, -2))
+
+
+def _brackets_at(mats: np.ndarray, psi: Lift) -> np.ndarray:
+    return _bracket_kernel(mats, psi.psi, psi.spectrum.eigenvalues, psi.spectrum.multiplicities, psi.hbar)
 
 
 def brackets_at_lift(obs_a: Observable, obs_b: Observable, psi: Lift) -> BracketPair:
@@ -138,7 +152,7 @@ def brackets_at_lift(obs_a: Observable, obs_b: Observable, psi: Lift) -> Bracket
     The value is independent of which lift of the state is supplied (gauge
     invariance); ``brackets`` uses the standard lift unless one is passed.
     """
-    z = complex(_bracket_kernel((obs_a, obs_b), psi)[0, 1])
+    z = complex(_brackets_at(_stack((obs_a, obs_b), psi.dim), psi)[0, 1])
     return BracketPair(riemann=z.real, poisson=z.imag)
 
 
@@ -156,7 +170,7 @@ def _resolve_lift(rho: DensityOperator, hbar: float, lift: Lift | None) -> Lift:
 
 
 def bracket_matrix(
-    observables: Sequence[Observable],
+    observables: Sequence[Observable] | np.ndarray,
     rho: DensityOperator,
     hbar: float = 1.0,
     *,
@@ -166,8 +180,11 @@ def bracket_matrix(
 
     The real part is symmetric and the imaginary part antisymmetric.  The
     lift of ``rho`` (standard unless one is passed in) is resolved once.
+    ``observables`` may also be their validated matrices stacked (N, n, n).
     """
-    return _bracket_kernel(observables, _resolve_lift(rho, hbar, lift))
+    psi = _resolve_lift(rho, hbar, lift)
+    mats = observables if isinstance(observables, np.ndarray) else _stack(observables, psi.dim)
+    return _brackets_at(mats, psi)
 
 
 def brackets(

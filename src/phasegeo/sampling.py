@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundle import DensityOperator, Spectrum, DEG_TOL_DEFAULT
+from .linalg import _dagger, _hermitize
 from .observables import Observable
 
 __all__ = [
@@ -37,11 +38,12 @@ def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
-def _ginibre(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """n-by-m matrix of independent standard complex Gaussians."""
+def _ginibre(n: int, m: int, rng: np.random.Generator, *count: int) -> np.ndarray:
+    """n-by-m matrix of standard complex Gaussians, or ``count`` of them drawn as that many calls would."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+    x = rng.standard_normal((*count, 2, n, m))
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,9 +56,21 @@ def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     phase convention that makes it Haar distributed (Mezzadri, Notices AMS
     54 (2007), arXiv:math-ph/0609050).
     """
-    q, r = np.linalg.qr(_ginibre(n, n, rng))
-    d = r.diagonal()
-    return q * (d / np.abs(d))
+    return _haar(_ginibre(n, n, rng))
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The rephased QR factor of each Ginibre matrix in a stack (..., n, n)."""
+    q, r = np.linalg.qr(g)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _orbit_states(spectrum: Spectrum, u: np.ndarray) -> np.ndarray:
+    """The matrices U P U† of the spectrum's orbit, for each unitary of a stack (..., n, n)."""
+    d = np.zeros(u.shape[-1])
+    d[: spectrum.rank] = spectrum.eigenvalues
+    return _hermitize((u * d) @ _dagger(u))
 
 
 def sample_density(spectrum: Spectrum, n: int, rng: np.random.Generator) -> DensityOperator:
@@ -64,17 +78,12 @@ def sample_density(spectrum: Spectrum, n: int, rng: np.random.Generator) -> Dens
     k = spectrum.rank
     if k > n:
         raise ValueError(f"spectrum rank {k} exceeds dimension {n}")
-    u = sample_unitary(n, rng)
-    d = np.zeros(n)
-    d[:k] = spectrum.eigenvalues
-    m = (u * d) @ u.conj().T
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(_orbit_states(spectrum, sample_unitary(n, rng)))
 
 
 def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     """Gaussian Hermitian observable (M + M†)/2 for complex Gaussian M."""
-    m = _ginibre(n, n, rng)
-    return Observable(0.5 * (m + m.conj().T))
+    return Observable(_hermitize(_ginibre(n, n, rng)))
 
 
 def sample_spectrum(

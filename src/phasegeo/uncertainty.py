@@ -28,8 +28,10 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bundle import DensityOperator, Lift
-from .observables import Observable, bracket_matrix, expected_value
+from .bundle import DEG_TOL_DEFAULT, RANK_TOL_DEFAULT, DensityOperator, Lift
+from .bundle import _check_spectra, _density_frames, _lift_array, _spectral_groups, _standard_psi
+from .linalg import _hermitian_matrix
+from .observables import Observable, _bracket_kernel, _real_trace, _stack, bracket_matrix, expected_value
 
 __all__ = [
     "RelationViolationError",
@@ -45,7 +47,8 @@ __all__ = [
     "variance_bound_check",
 ]
 
-# The guards below are written "not x >= -tol" so that a NaN fails them.
+# The guards below are written "not x >= -tol" so that a NaN fails them.  Each is relative, floored
+# at min(1, the observables' Frobenius scale): it scales with their units, never looser than a floor of 1.
 
 # Negative variance beyond this is a fault, within it is floating noise.
 _VARIANCE_CLAMP = 1e-12
@@ -90,14 +93,19 @@ class CauchySchwarz(NamedTuple):
     rhs: float
 
 
+def _clamped_variance(second: float, mean: float, norm: float) -> float:
+    """Tr(A^2 rho) - <A>^2 from its two terms, clamped at zero against noise; ``norm`` is ||A||."""
+    v = second - mean**2
+    if not v >= -_VARIANCE_CLAMP * max(second, min(1.0, norm * norm)):
+        raise RelationViolationError(f"variance came out negative: {v!r}")
+    return max(v, 0.0)
+
+
 def variance(obs: Observable, rho: DensityOperator) -> float:
     """Variance Tr(A^2 rho) - Tr(A rho)^2, clamped at zero against noise."""
     a = obs.matrix
     second = float(np.trace(a @ a @ rho.matrix).real)
-    v = second - expected_value(obs, rho) ** 2
-    if not v >= -_VARIANCE_CLAMP * max(1.0, second):
-        raise RelationViolationError(f"variance came out negative: {v!r}")
-    return max(v, 0.0)
+    return _clamped_variance(second, expected_value(obs, rho), float(np.linalg.norm(a)))
 
 
 def variance_bound_check(
@@ -116,7 +124,7 @@ def variance_bound_check(
     lhs = variance(obs, rho)
     rhs = 0.5 * hbar * float(bracket_matrix((obs,), rho, hbar, lift=lift)[0, 0].real)
     gap = lhs - rhs
-    if not gap >= -_SLACK_TOL * max(1.0, abs(lhs)):
+    if not gap >= -_SLACK_TOL * max(abs(lhs), min(1.0, float(np.linalg.norm(obs.matrix)) ** 2)):
         raise RelationViolationError(f"variance bound violated by {gap!r}")
     return VarianceBound(lhs, rhs, max(gap, 0.0))
 
@@ -175,53 +183,58 @@ def analyze_pairs(
     exceeds the spread product beyond tolerance; that can only mean a
     numerical or implementation fault.
     """
-    z = bracket_matrix(observables, rho, hbar, lift=lift)
-    spreads = [math.sqrt(variance(obs, rho)) for obs in observables]
-    means = np.array([expected_value(obs, rho) for obs in observables])
-    mats = np.array([obs.matrix for obs in observables]).reshape(-1, rho.dim, rho.dim)
-    sigma = np.einsum("ikl,jlk->ij", mats, mats @ rho.matrix) - np.outer(means, means)
-    reports = []
-    for i, j in combinations(range(len(observables)), 2):
-        da, db = spreads[i], spreads[j]
-        product = da * db
-        bracket = complex(z[i, j])
-        geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
-        rs = math.hypot(sigma[i, j].real, sigma[i, j].imag)
-        slack_geo = product - geo
-        slack_rs = product - rs
+    mats = _stack(observables, rho.dim)
+    z = bracket_matrix(mats, rho, hbar, lift=lift)
+    return _reports(mats[None], rho.matrix[None], z[None], hbar)[0]
 
-        scale = max(1.0, product, geo, rs)
-        if not slack_geo >= -_SLACK_TOL * scale:
-            raise RelationViolationError(
-                f"geometric bound {geo!r} exceeds spread product {product!r}"
-            )
-        if not slack_rs >= -_SLACK_TOL * scale:
-            raise RelationViolationError(
-                f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
-            )
 
-        if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
-            winner = "tie"
-        elif geo > rs:
-            winner = "geometric"
-        else:
-            winner = "robertson_schrodinger"
+def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
+    """analyze_pairs at the standard lift of each state (S, n, n), with every input rule, per slice."""
+    rho, frames = _density_frames(states, stacked=True)
+    mats = _hermitian_matrix(observables, "observable", stacked=True)
+    out: list = [None] * len(rho)
+    for rows, multiplicities, p in _spectral_groups(frames.values, RANK_TOL_DEFAULT, DEG_TOL_DEFAULT):
+        _check_spectra(p, multiplicities, DEG_TOL_DEFAULT)
+        psi = _lift_array(_standard_psi(frames.vectors[rows], p), p, hbar, stacked=True)
+        z = _bracket_kernel(mats[rows], psi, p, multiplicities, hbar)
+        for row, reports in zip(rows, _reports(mats[rows], rho[rows], z, hbar)):
+            out[row] = reports
+    return out
 
-        reports.append(
-            UncertaintyReport(
-                delta_a=da,
-                delta_b=db,
-                product=product,
-                riemann=bracket.real,
-                poisson=bracket.imag,
-                geometric_bound=geo,
-                rs_bound=rs,
-                slack_geometric=slack_geo,
-                slack_rs=slack_rs,
-                bound_winner=winner,
-            )
-        )
-    return reports
+
+def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
+    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N): scalar guards."""
+    products = mats @ rho[:, None]
+    traces = products.trace(axis1=-2, axis2=-1)
+    seconds = (mats @ mats @ rho[:, None]).trace(axis1=-2, axis2=-1).real
+    means = traces.real
+    sigma = np.einsum("...ikl,...jlk->...ij", mats, products) - means[..., :, None] * means[..., None, :]
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    out = []
+    for traces_s, seconds_s, norms_s, z_s, sigma_s in zip(*(x.tolist() for x in (traces, seconds, norms, z, sigma))):
+        moments = zip(traces_s, seconds_s, norms_s)
+        spreads = [math.sqrt(_clamped_variance(second, _real_trace(t), norm)) for t, second, norm in moments]
+        out.append([])
+        for i, j in combinations(range(len(spreads)), 2):
+            product = spreads[i] * spreads[j]
+            bracket = z_s[i][j]
+            geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
+            rs = math.hypot(sigma_s[i][j].real, sigma_s[i][j].imag)
+            slack_geo = product - geo
+            slack_rs = product - rs
+            scale = max(product, geo, rs, min(1.0, norms_s[i] * norms_s[j]))
+            if not slack_geo >= -_SLACK_TOL * scale:
+                raise RelationViolationError(f"geometric bound {geo!r} exceeds spread product {product!r}")
+            if not slack_rs >= -_SLACK_TOL * scale:
+                raise RelationViolationError(
+                    f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
+                )
+            winner = "geometric" if geo > rs else "robertson_schrodinger"
+            if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
+                winner = "tie"
+            fields = (spreads[i], spreads[j], product, bracket.real, bracket.imag, geo, rs, slack_geo, slack_rs)
+            out[-1].append(UncertaintyReport(*fields, winner))
+    return out
 
 
 def analyze_pair(

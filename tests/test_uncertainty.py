@@ -235,3 +235,71 @@ class TestNanGuards:
         monkeypatch.setattr(uncertainty, "expected_value", lambda obs, rho: math.nan)
         with pytest.raises(RelationViolationError):
             variance(SX, RHO)
+
+
+def _analyze_wide_inputs():
+    """The state and observables of the analyze-wide benchmark workload (seed 1)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    # Read-only use of the benchmark module: no bytecode is written next to it.
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    inputs = module.make_analyze_inputs(1)
+    return DensityOperator(inputs.rho), [Observable(m) for m in inputs.observables], inputs.hbar
+
+
+class TestGuardsScaleWithUnits:
+    """The fault guards are relative to the observables' scale, below 1 as above it."""
+
+    SCALES = (1e-5, 1.0, 1e5)
+
+    @staticmethod
+    def _scaled_triple(scale):
+        rho, a, b = _random_case(4, make_rng(77), rank=3)
+        return rho, Observable(scale * a.matrix), Observable(scale * b.matrix)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_planted_bound_violation_is_caught(self, monkeypatch, scale):
+        rho, a, b = self._scaled_triple(scale)
+        report = analyze_pair(a, b, rho)
+        # Raise the geometric bound to 1e-6 (relative) above the spread product.
+        factor = report.product / report.geometric_bound * (1.0 + 1e-6)
+        real = uncertainty.bracket_matrix
+        monkeypatch.setattr(uncertainty, "bracket_matrix", lambda *args, **kwargs: factor * real(*args, **kwargs))
+        with pytest.raises(RelationViolationError, match="geometric bound"):
+            analyze_pair(a, b, rho)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_planted_negative_variance_is_caught(self, monkeypatch, scale):
+        rho, a, _ = self._scaled_triple(scale)
+        second = float(np.trace(a.matrix @ a.matrix @ rho.matrix).real)
+        # A mean whose square exceeds Tr(A^2 rho) by 1e-6 relative.
+        mean = math.sqrt(second * (1.0 + 1e-6))
+        monkeypatch.setattr(uncertainty, "expected_value", lambda obs, state: mean)
+        with pytest.raises(RelationViolationError, match="variance came out negative"):
+            variance(a, rho)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 3), (6, 6), (16, 8)])
+    def test_sweep_draws_raise_no_false_alarm(self, scale, dim, rank):
+        spectrum, _ = sample_spectrum(rank, make_rng(3, 0))
+        for index in range(30):
+            rng = make_rng(3, 1, index)
+            rho = sample_density(spectrum, dim, rng)
+            a, b = (Observable(scale * sample_hermitian(dim, rng).matrix) for _ in range(2))
+            analyze_pair(a, b, rho)
+            variance_bound_check(a, rho)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_analyze_wide_inputs_raise_no_false_alarm(self, scale):
+        rho, observables, hbar = _analyze_wide_inputs()
+        reports = uncertainty.analyze_pairs([Observable(scale * obs.matrix) for obs in observables], rho, hbar)
+        assert len(reports) == len(observables) * (len(observables) - 1) // 2

@@ -9,8 +9,10 @@ thread:
 
 - ``analyze`` (JSON and CSV) on the analyze-wide inputs of
   ``perfbench/workloads.py`` at seeds 1 and 2;
-- ``sweep`` at (dim, rank, samples) (4, 3, 200) and (32, 16, 10) in JSON
-  and (6, 6, 100) in CSV, each at seeds 3-5;
+- ``sweep`` at (dim, rank, samples) (4, 3, 200), (32, 16, 10) and
+  (2, 1, 100) (pure states) in JSON, and (6, 6, 100) and (3, 2, 4000) in
+  CSV, each at seeds 3-5.  The 4000 samples at dimension 3 fill more than
+  two chunks of the batched sweep (``phasegeo.cli._CHUNK_ENTRIES``);
 - ``verify`` at (dim, samples, seed) (2, 40, 7), (4, 8, 1), (6, 8, 3)
   and (2, 1, 12).
 
@@ -39,7 +41,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # still counts as agreement.
 DRIFT_TOL = 1e-15
 
-SWEEPS = ((4, 3, 200, "json"), (32, 16, 10, "json"), (6, 6, 100, "csv"))
+SWEEPS = ((4, 3, 200, "json"), (32, 16, 10, "json"), (2, 1, 100, "json"), (6, 6, 100, "csv"), (3, 2, 4000, "csv"))
 SWEEP_SEEDS = (3, 4, 5)
 VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12))
 ANALYZE_SEEDS = (1, 2)
