@@ -121,15 +121,14 @@ class EigenDecomposition:
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Rephase each column (in a stack too) so its first component of modulus > PHASE_FIX_TOL is real positive."""
-    mask = np.abs(vectors) > PHASE_FIX_TOL
-    first = mask.argmax(axis=-2)[..., None, :]
-    if np.count_nonzero(first):
-        pivots, significant = np.take_along_axis(vectors, first, -2), np.take_along_axis(mask, first, -2)
-    else:  # every pivot sits in the first row (the usual case), and slicing is cheaper
-        pivots, significant = vectors[..., :1, :], mask[..., :1, :]
+    cols = vectors.reshape(-1, *vectors.shape[-2:]).swapaxes(-1, -2)
+    mask = np.abs(cols) > PHASE_FIX_TOL
+    # One fancy index picks each column's pivot; np.take_along_axis costs more on a small stack.
+    at = (np.arange(len(cols))[:, None], np.arange(cols.shape[1]), mask.argmax(axis=-1))
+    pivots = np.where(mask[at], cols[at], 1.0)
     # hypot rounds like scalar abs(); np.abs on complex arrays may not.
-    moduli = np.where(significant, np.hypot(pivots.real, pivots.imag), 1.0)
-    return vectors * np.where(significant, pivots.conj() / moduli, 1.0)
+    factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    return vectors * factors.reshape(*vectors.shape[:-2], 1, -1)
 
 
 def hermitian_eig(h) -> EigenDecomposition:
@@ -140,9 +139,9 @@ def hermitian_eig(h) -> EigenDecomposition:
     values keep LAPACK's order) and every eigenvector column carries the ``_fix_column_phases`` fix.
     """
     values, vectors = np.linalg.eigh(_hermitize(_hermitian_matrix(h, stacked=True)))
-    if np.count_nonzero(values[..., 1:] == values[..., :-1]):
-        order = np.argsort(-values, axis=-1, kind="stable")
-        values, vectors = np.take_along_axis(values, order, -1), np.take_along_axis(vectors, order[..., None, :], -1)
-    else:  # LAPACK returns ascending values; without ties, reversal is the stable descending sort
-        values, vectors = values[..., ::-1], vectors[..., ::-1]
+    n = values.shape[-1]
+    order = np.argsort(-values, axis=-1, kind="stable").reshape(-1, 1, n)
+    at = np.arange(len(order))[:, None, None]
+    values = values.reshape(-1, n)[at[..., 0], order[:, 0]].reshape(values.shape)
+    vectors = vectors.reshape(-1, n, n)[at, np.arange(n)[:, None], order].reshape(vectors.shape)
     return EigenDecomposition(_readonly(values), _readonly(_fix_column_phases(vectors)))

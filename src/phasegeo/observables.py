@@ -170,7 +170,7 @@ def _resolve_lift(rho: DensityOperator, hbar: float, lift: Lift | None) -> Lift:
 
 
 def bracket_matrix(
-    observables: Sequence[Observable] | np.ndarray,
+    observables: Sequence[Observable],
     rho: DensityOperator,
     hbar: float = 1.0,
     *,
@@ -180,11 +180,9 @@ def bracket_matrix(
 
     The real part is symmetric and the imaginary part antisymmetric.  The
     lift of ``rho`` (standard unless one is passed in) is resolved once.
-    ``observables`` may also be their validated matrices stacked (N, n, n).
     """
     psi = _resolve_lift(rho, hbar, lift)
-    mats = observables if isinstance(observables, np.ndarray) else _stack(observables, psi.dim)
-    return _brackets_at(mats, psi)
+    return _brackets_at(_stack(observables, psi.dim), psi)
 
 
 def brackets(

@@ -183,9 +183,8 @@ def analyze_pairs(
     exceeds the spread product beyond tolerance; that can only mean a
     numerical or implementation fault.
     """
-    mats = _stack(observables, rho.dim)
-    z = bracket_matrix(mats, rho, hbar, lift=lift)
-    return _reports(mats[None], rho.matrix[None], z[None], hbar)[0]
+    z = bracket_matrix(observables, rho, hbar, lift=lift)
+    return _reports(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)[0]
 
 
 def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
