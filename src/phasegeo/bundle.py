@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
-    _check_hbar,
+    _check_positive,
     _complex_array,
     _dagger,
     _hermitian_matrix,
@@ -128,6 +128,7 @@ class Spectrum:
 
 def _check_spectra(p: np.ndarray, multiplicities: tuple[int, ...], deg_tol: float) -> None:
     """The Spectrum rules on every row of a stack (G, k) of eigenvalues sharing one block structure."""
+    _check_positive(deg_tol, "degeneracy_tolerance")
     if p.shape[-1] == 0:
         raise ValueError("spectrum must contain at least one eigenvalue")
     # min/max propagate NaN, which then fails the comparison.
@@ -138,8 +139,6 @@ def _check_spectra(p: np.ndarray, multiplicities: tuple[int, ...], deg_tol: floa
         raise ValueError("spectrum eigenvalues must be non-increasing")
     if np.count_nonzero(bad := np.abs(p.sum(axis=-1) - 1.0) > _TRACE_TOL):
         raise ValueError(f"spectrum eigenvalues must sum to 1, got {sum(p[bad.argmax()].tolist())!r}")
-    if deg_tol <= 0:
-        raise ValueError("degeneracy_tolerance must be positive")
     if any(mi < 1 or mi != int(mi) for mi in multiplicities):
         raise ValueError("multiplicities must be positive integers")
     if sum(multiplicities) != p.shape[-1]:
@@ -221,7 +220,7 @@ class Lift:
 def _lift_array(psi, eigenvalues: np.ndarray, hbar: float, stacked: bool = False) -> np.ndarray:
     """The Lift rules on one lift, or on every slice of a stack (..., n, k) with eigenvalues (..., k)."""
     a = _complex_array(psi, "lift", stacked)
-    _check_hbar(hbar)
+    _check_positive(hbar, "hbar")
     k = eigenvalues.shape[-1]
     if a.shape[-1] != k:
         raise ValueError(f"lift has {a.shape[-1]} columns but the spectrum has rank {k}")
@@ -270,8 +269,8 @@ def _check_block_structure(xi: np.ndarray, spectrum: Spectrum) -> None:
 
 def _spectral_groups(values: np.ndarray, rank_tol: float, deg_tol: float):
     """``spectrum_of`` on each row of a stack (S, n): rows, multiplicities, eigenvalues (G, k) per structure."""
-    if rank_tol <= 0 or deg_tol <= 0:
-        raise ValueError("rank_tol and deg_tol must be positive")
+    _check_positive(rank_tol, "rank_tol")
+    _check_positive(deg_tol, "deg_tol")
     n = values.shape[-1]
     kept = (values >= rank_tol * values.sum(axis=-1, keepdims=True)) & (values > 0.0)
     merged = kept[:, 1:] & (values[:, :-1] - values[:, 1:] <= deg_tol * values[:, :1])
@@ -343,10 +342,10 @@ def gauge_transform(psi: Lift, u) -> Lift:
 
 def _tangency_residual(psi: Lift, x: np.ndarray, m: np.ndarray) -> float:
     """Scale-free size of Psi†X + X†Psi, which vanishes for tangent X."""
-    scale = np.linalg.norm(psi.psi) * np.linalg.norm(x)
-    if scale == 0.0:
+    norms = np.linalg.norm(psi.psi) * np.linalg.norm(x)
+    if norms == 0.0:
         return 0.0
-    return float(np.linalg.norm(m + m.conj().T) / scale)
+    return float(np.linalg.norm(m + m.conj().T) / norms)
 
 
 def connection_form(psi: Lift, x) -> GaugeAlgebraElement:
@@ -403,7 +402,7 @@ def inertia_inner(
     Matches G(Psi xi, Psi eta) for every lift with this spectrum.  The hbar
     factor keeps that identity exact; see the package notes on conventions.
     """
-    _check_hbar(hbar)
+    _check_positive(hbar, "hbar")
     _check_block_structure(xi.xi, spectrum)
     _check_block_structure(eta.xi, spectrum)
     p = np.asarray(spectrum.eigenvalues)

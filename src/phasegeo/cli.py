@@ -23,6 +23,7 @@ import numpy as np
 
 from .bundle import DensityOperator, split, standard_lift
 from .io import (
+    SWEEP_FIELDS,
     StateFileError,
     load_observables,
     load_state,
@@ -34,7 +35,7 @@ from .linalg import _hermitize
 from .observables import expected_value, ham_field, spin_half
 from .sampling import _ginibre, _haar, _orbit_states, make_rng, sample_spectrum
 from .uncertainty import RelationViolationError, _analyze_states, analyze_pair, analyze_pairs
-from .verify import run_battery
+from .verify import ToleranceScaleError, run_battery
 
 __all__ = ["main", "entry"]
 
@@ -43,8 +44,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 DEMO_TOL = 1e-10
-
-_SWEEP_EXTRA_FIELDS = ("sample_index", "seed", "dimension", "rank")
 
 # Matrix entries per stacked sweep chunk (of at least one sample): bounds the memory of a long sweep.
 _CHUNK_ENTRIES = 1 << 14
@@ -168,7 +167,7 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
         g = np.array([_ginibre(dim, dim, make_rng(seed, 1, index), 3) for index in indices])
         reports = _analyze_states(_hermitize(g[:, 1:]), _orbit_states(spectrum, _haar(g[:, 0])), 1.0)
         for index, (rep,) in zip(indices, reports):
-            records.append(dict(zip(_SWEEP_EXTRA_FIELDS, (index, seed, dim, rank)), **report_to_dict(rep)))
+            records.append(dict(zip(SWEEP_FIELDS, (index, seed, dim, rank)), **report_to_dict(rep)))
 
     winners = [rec["bound_winner"] for rec in records]
     summary = {
@@ -195,7 +194,7 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
         json.dump(doc, buf, indent=2)
         buf.write("\n")
     else:
-        write_reports_csv(buf, records, extra_fields=_SWEEP_EXTRA_FIELDS)
+        write_reports_csv(buf, records, extra_fields=SWEEP_FIELDS)
     _emit(buf.getvalue(), output)
 
     summary_text = (
@@ -280,10 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.samples < 1:
                 parser.error(f"--samples must be positive, got {args.samples}")
             return cmd_verify(args.dim, args.samples, args.seed)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (StateFileError, FileNotFoundError, ToleranceScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RelationViolationError as exc:

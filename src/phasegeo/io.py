@@ -21,6 +21,7 @@ from .uncertainty import UncertaintyReport
 
 __all__ = [
     "REPORT_FIELDS",
+    "SWEEP_FIELDS",
     "StateFileError",
     "load_observables",
     "load_state",
@@ -47,6 +48,9 @@ REPORT_FIELDS = (
     "slack_rs",
     "bound_winner",
 )
+
+# Integer columns that prefix each sweep record, before REPORT_FIELDS.
+SWEEP_FIELDS = ("sample_index", "seed", "dimension", "rank")
 
 
 class StateFileError(ValueError):
@@ -192,7 +196,7 @@ def read_reports_csv(fh, extra_fields: tuple[str, ...] = ()) -> list[dict]:
         for key, cell in zip(fields, row):
             if key in ("bound_winner", "a", "b"):
                 rec[key] = cell
-            elif key in ("sample_index", "seed", "dimension", "rank"):
+            elif key in SWEEP_FIELDS:
                 rec[key] = int(cell)
             else:
                 rec[key] = float(cell)

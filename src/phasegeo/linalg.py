@@ -74,10 +74,10 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
-def _check_hbar(hbar: float) -> None:
-    """Reject an action scale outside 0 < hbar < inf, NaN included."""
-    if not 0.0 < hbar < np.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+def _check_positive(value: float, name: str, error: type[ValueError] = ValueError) -> None:
+    """The one rule for a real scale (hbar, a tolerance): reject it outside 0 < value < inf, NaN included."""
+    if not 0.0 < value < np.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -101,13 +101,13 @@ def hs_inner(x, y) -> complex:
 
 def metric_g(x, y, hbar: float) -> float:
     """Riemannian pairing G(X,Y) = hbar*Tr(X†Y + Y†X) = 2*hbar*Re Tr(X†Y)."""
-    _check_hbar(hbar)
+    _check_positive(hbar, "hbar")
     return 2.0 * hbar * hs_inner(x, y).real
 
 
 def form_omega(x, y, hbar: float) -> float:
     """Symplectic pairing Omega(X,Y) = -i*hbar*Tr(X†Y - Y†X) = 2*hbar*Im Tr(X†Y)."""
-    _check_hbar(hbar)
+    _check_positive(hbar, "hbar")
     return 2.0 * hbar * hs_inner(x, y).imag
 
 

@@ -30,7 +30,7 @@ from .bundle import (
     inertia_inner,
     standard_lift,
 )
-from .linalg import _check_hbar, _dagger, _hermitian_matrix, _readonly
+from .linalg import _check_positive, _dagger, _hermitian_matrix, _readonly
 
 __all__ = [
     "BracketPair",
@@ -214,7 +214,7 @@ def chi_element(k: int, hbar: float = 1.0) -> GaugeAlgebraElement:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    _check_hbar(hbar)
+    _check_positive(hbar, "hbar")
     return GaugeAlgebraElement(-1j / math.sqrt(2.0 * hbar) * np.eye(k, dtype=np.complex128))
 
 

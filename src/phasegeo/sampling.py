@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundle import DensityOperator, Spectrum, DEG_TOL_DEFAULT
-from .linalg import _dagger, _hermitize
+from .linalg import _check_positive, _dagger, _hermitize
 from .observables import Observable
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
 # unambiguous under the default grouping.
 GAP_SAFETY_FACTOR = 100.0
 MIN_EIGENVALUE = 1e-6
+
+# sample_spectrum raises RuntimeError when this many draws are all rejected.
+MAX_SPECTRUM_DRAWS = 1000
 
 
 def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -86,12 +89,7 @@ def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     return Observable(_hermitize(_ginibre(n, n, rng)))
 
 
-def sample_spectrum(
-    rank: int,
-    rng: np.random.Generator,
-    deg_tol: float = DEG_TOL_DEFAULT,
-    max_tries: int = 1000,
-) -> tuple[Spectrum, int]:
+def sample_spectrum(rank: int, rng: np.random.Generator, deg_tol: float = DEG_TOL_DEFAULT) -> tuple[Spectrum, int]:
     """Uniform simplex spectrum of the given rank, kept away from degeneracy.
 
     Normalized exponentials give the flat Dirichlet law on the simplex.
@@ -102,18 +100,13 @@ def sample_spectrum(
     """
     if rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank}")
-    resampled = 0
-    for _ in range(max_tries):
+    _check_positive(deg_tol, "deg_tol")
+    for resampled in range(MAX_SPECTRUM_DRAWS):
         e = np.sort(rng.standard_exponential(rank))[::-1]
         p = e / e.sum()
-        if p[-1] < MIN_EIGENVALUE:
-            resampled += 1
-            continue
-        if rank > 1 and np.min(p[:-1] - p[1:]) <= GAP_SAFETY_FACTOR * deg_tol * p[0]:
-            resampled += 1
-            continue
-        return Spectrum(tuple(float(v) for v in p), (1,) * rank, deg_tol), resampled
-    raise RuntimeError(f"no acceptable spectrum after {max_tries} draws")
+        if p[-1] >= MIN_EIGENVALUE and (rank == 1 or np.min(p[:-1] - p[1:]) > GAP_SAFETY_FACTOR * deg_tol * p[0]):
+            return Spectrum(tuple(float(v) for v in p), (1,) * rank, deg_tol), resampled
+    raise RuntimeError(f"no acceptable spectrum after {MAX_SPECTRUM_DRAWS} draws")
 
 
 def sample_gauge_unitary(spectrum: Spectrum, rng: np.random.Generator) -> np.ndarray:

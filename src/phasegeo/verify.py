@@ -7,7 +7,7 @@ them (a negative residual counts as 0) and compares it with a fixed
 tolerance; a NaN residual makes the worst residual NaN, and the check
 fails.  The PHASEGEO_TOLERANCE_SCALE environment variable (default 1)
 multiplies every tolerance, as an escape hatch for platforms with unusual
-floating-point behavior.
+floating-point behavior; like every scale it must be positive and finite.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bundle import (
     spectrum_of,
     standard_lift,
 )
-from .linalg import form_omega, hermitian_eig, hs_inner, metric_g
+from .linalg import _check_positive, form_omega, hermitian_eig, hs_inner, metric_g
 from .observables import (
     Observable,
     brackets_at_lift,
@@ -54,9 +54,13 @@ from .sampling import (
 )
 from .uncertainty import analyze_pair, cauchy_schwarz_check, rs_bound, variance_bound_check
 
-__all__ = ["CheckResult", "run_battery", "tolerance_scale"]
+__all__ = ["CheckResult", "ToleranceScaleError", "run_battery", "tolerance_scale"]
 
 TOLERANCE_SCALE_ENV = "PHASEGEO_TOLERANCE_SCALE"
+
+
+class ToleranceScaleError(ValueError):
+    """PHASEGEO_TOLERANCE_SCALE does not hold a positive finite number."""
 
 
 def tolerance_scale() -> float:
@@ -65,9 +69,8 @@ def tolerance_scale() -> float:
     try:
         scale = float(raw)
     except ValueError as exc:
-        raise ValueError(f"{TOLERANCE_SCALE_ENV} must be a number, got {raw!r}") from exc
-    if scale <= 0:
-        raise ValueError(f"{TOLERANCE_SCALE_ENV} must be positive, got {scale}")
+        raise ToleranceScaleError(f"{TOLERANCE_SCALE_ENV} must be a number, got {raw!r}") from exc
+    _check_positive(scale, TOLERANCE_SCALE_ENV, ToleranceScaleError)
     return scale
 
 

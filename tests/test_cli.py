@@ -220,6 +220,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "tolerance=1.0e-08" in out  # 1e-9 checks scaled up tenfold
 
+    @pytest.mark.parametrize("scale", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_tolerance_scale_is_input_error(self, scale, capsys, monkeypatch):
+        monkeypatch.setenv("PHASEGEO_TOLERANCE_SCALE", scale)
+        assert main(["verify", "--dim", "2", "--samples", "1", "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: PHASEGEO_TOLERANCE_SCALE must be ")
+        assert err.count("\n") == 1
+
     def test_battery_covers_higher_dimensions(self, capsys):
         """Rank mixtures and multiplicity blocks at dim 6 all verify."""
         assert main(["verify", "--dim", "6", "--samples", "8", "--seed", "3"]) == 0

@@ -97,3 +97,10 @@ def test_verify_residual_change_agrees_and_verdict_change_does_not():
     failed = _proc(VERIFY.replace("PASS  covariance", "FAIL  covariance"))
     _, ok = compare_outputs.compare_case(_proc(VERIFY), failed, "verify")
     assert not ok
+
+
+def test_demo_text_must_match_byte_for_byte():
+    text = "standard lift psi:\n[[0.8660254+0.j 0.       +0.j]\n [0.       +0.j 0.5      +0.j]]\n"
+    assert compare_outputs.compare_case(_proc(text), _proc(text), "demo") == ("byte-identical", True)
+    flipped = _proc(text.replace("0.5      +0.j", "0.5      -0.j"))
+    assert compare_outputs.compare_case(_proc(text), flipped, "demo") == ("text differs", False)

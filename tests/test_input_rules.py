@@ -1,4 +1,4 @@
-"""Input rules shared by every layer: finite hbar, Hermiticity, one eigendecomposition per state."""
+"""Input rules shared by every layer: positive finite scales, Hermiticity, one eigendecomposition per state."""
 
 import json
 import math
@@ -19,6 +19,8 @@ from phasegeo.cli import main
 from phasegeo.io import StateFileError, parse_state
 from phasegeo.linalg import form_omega, hermitian_eig, metric_g
 from phasegeo.observables import chi_element
+from phasegeo.sampling import make_rng, sample_spectrum
+from phasegeo.verify import tolerance_scale
 
 STATE_TEXT = (
     '{"dimension": 2, "hbar": %s, '
@@ -82,6 +84,42 @@ class TestHbarMustBeFinite:
         for call in calls:
             with pytest.raises(ValueError, match="hbar"):
                 call()
+
+
+def _sample_spectrum_untouched(deg_tol):
+    """sample_spectrum with a bad deg_tol, asserting the generator made no draw first."""
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    try:
+        sample_spectrum(2, rng, deg_tol=deg_tol)
+    finally:
+        assert rng.bit_generator.state == state
+
+
+def _env_tolerance_scale(value, monkeypatch):
+    monkeypatch.setenv("PHASEGEO_TOLERANCE_SCALE", repr(value))
+    tolerance_scale()
+
+
+# (parameter named in the error, call taking the bad value and the monkeypatch fixture)
+SCALE_ENTRIES = {
+    "Spectrum": ("degeneracy_tolerance", lambda v, mp: Spectrum((0.75, 0.25), (1, 1), degeneracy_tolerance=v)),
+    "spectrum_of-rank_tol": ("rank_tol", lambda v, mp: spectrum_of(_rank3_state(), rank_tol=v)),
+    "spectrum_of-deg_tol": ("deg_tol", lambda v, mp: spectrum_of(_rank3_state(), deg_tol=v)),
+    "standard_lift-rank_tol": ("rank_tol", lambda v, mp: standard_lift(_rank3_state(), rank_tol=v)),
+    "standard_lift-deg_tol": ("deg_tol", lambda v, mp: standard_lift(_rank3_state(), deg_tol=v)),
+    "sample_spectrum": ("deg_tol", lambda v, mp: _sample_spectrum_untouched(v)),
+    "tolerance_scale": ("PHASEGEO_TOLERANCE_SCALE", _env_tolerance_scale),
+}
+
+
+class TestScalesMustBePositiveAndFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("entry", SCALE_ENTRIES)
+    def test_every_scale_entry_rejects(self, entry, value, monkeypatch):
+        name, call = SCALE_ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            call(value, monkeypatch)
 
 
 class TestOverflowingNorm:

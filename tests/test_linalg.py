@@ -188,6 +188,20 @@ class TestHermitianEig:
         np.testing.assert_allclose(eig.values, np.zeros(3))
         np.testing.assert_allclose(eig.vectors, np.eye(3))
 
+    def test_four_dimensional_stack_matches_each_matrix(self):
+        """A (2, 3, n, n) stack, ties included, gives each slice the bytes of a one-matrix call."""
+        rng = np.random.default_rng(11)
+        u = sample_unitary(4, make_rng(12))
+        tied = [np.diag([0.25] * 4), np.diag([0.0, 0.5, 0.5, 0.0]), (u * [0.4, 0.4, 0.2, 0.0]) @ u.conj().T]
+        stack = np.array(tied + [random_hermitian_matrix(4, rng) for _ in range(3)]).reshape(2, 3, 4, 4)
+        eig = hermitian_eig(stack)
+        assert eig.values.shape == (2, 3, 4)
+        assert eig.vectors.shape == (2, 3, 4, 4)
+        for i in np.ndindex(2, 3):
+            one = hermitian_eig(stack[i])
+            assert eig.values[i].tobytes() == one.values.tobytes()
+            assert eig.vectors[i].tobytes() == one.vectors.tobytes()
+
 
 def _fix_column_phases_loop(vectors):
     """Column-by-column form of the phase fix, kept as the reference."""

@@ -69,3 +69,11 @@ def test_covariance_identity_checks_production_rs_against_reference(monkeypatch)
     monkeypatch.setattr(verify, "rs_bound", lambda a, b, rho: 1.01 * reference(a, b, rho))
     failed = {r.name for r in verify.run_battery(4, 8, 1) if not r.passed}
     assert failed == {"covariance_identity"}
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_battery_passes_away_from_unit_hbar(dim, hbar):
+    results = verify.run_battery(dim, 4, dim, hbar)
+    assert len(results) == 25
+    assert [r.name for r in results if not r.passed] == []

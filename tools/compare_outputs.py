@@ -14,14 +14,17 @@ thread:
   CSV, each at seeds 3-5.  The 4000 samples at dimension 3 fill more than
   two chunks of the batched sweep (``phasegeo.cli._CHUNK_ENTRIES``);
 - ``verify`` at (dim, samples, seed) (2, 40, 7), (4, 8, 1), (6, 8, 3)
-  and (2, 1, 12).
+  and (2, 1, 12);
+- ``demo spin`` with ``--p1 0.75``, ``--p1 0.5 --hbar 2`` and
+  ``--p1 0.999``.  Its text prints the standard lift, so these cases
+  compare byte for byte.
 
 For each case it prints ``byte-identical``, or each drifting field's
 largest drift relative to the largest float field of its record (verify:
 each check whose residual changed).  It exits 1 when a drift exceeds
 1e-15, when record counts, keys, non-float values (names, indices,
-``bound_winner``) or verify PASS/FAIL lines differ, or when either tree
-exits nonzero.
+``bound_winner``) or verify PASS/FAIL lines differ, when a demo's text
+differs at all, or when either tree exits nonzero.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ SWEEPS = ((4, 3, 200, "json"), (32, 16, 10, "json"), (2, 1, 100, "json"), (6, 6,
 SWEEP_SEEDS = (3, 4, 5)
 VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12))
 ANALYZE_SEEDS = (1, 2)
+DEMOS = (("--p1", "0.75"), ("--p1", "0.5", "--hbar", "2"), ("--p1", "0.999"))
 
 
 def _analyze_files(workdir: str) -> dict[int, object]:
@@ -74,6 +78,8 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
     for dim, samples, seed in VERIFIES:
         argv = ["verify", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed)]
         cases.append((f"verify ({dim},{samples},{seed})", argv, "verify"))
+    for args in DEMOS:
+        cases.append((f"demo spin {' '.join(args)}", ["demo", "spin", *args], "demo"))
     return cases
 
 
@@ -159,6 +165,8 @@ def compare_case(old: subprocess.CompletedProcess, new: subprocess.CompletedProc
         return f"exit status {old.returncode} vs {new.returncode}", False
     if old.stdout == new.stdout:
         return "byte-identical", True
+    if kind == "demo":
+        return "text differs", False
     if kind == "verify":
         notes, errors = _compare_verify(old.stdout, new.stdout)
         return "; ".join(errors or ["residuals changed: " + ", ".join(notes)]), not errors
