@@ -13,70 +13,12 @@ gauge-algebra inner product carries the same hbar factor so that it agrees
 with the metric on vertical vectors.
 """
 
-from .bundle import (
-    DEG_TOL_DEFAULT,
-    RANK_TOL_DEFAULT,
-    DensityOperator,
-    GaugeAlgebraElement,
-    Lift,
-    Spectrum,
-    block_projectors,
-    connection_form,
-    gauge_transform,
-    inertia_inner,
-    moment_pairing,
-    project,
-    spectrum_of,
-    split,
-    standard_lift,
-)
-from .linalg import (
-    EigenDecomposition,
-    as_complex_matrix,
-    form_omega,
-    hermitian_eig,
-    hs_inner,
-    metric_g,
-)
-from .observables import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    BracketPair,
-    Observable,
-    bracket_matrix,
-    brackets,
-    brackets_at_lift,
-    chi_element,
-    expected_value,
-    ham_field,
-    spin_half,
-    sym_covariance,
-    xi_field,
-    xi_perp,
-)
-from .sampling import (
-    make_rng,
-    sample_density,
-    sample_gauge_algebra,
-    sample_gauge_unitary,
-    sample_hermitian,
-    sample_spectrum,
-    sample_unitary,
-)
-from .uncertainty import (
-    CauchySchwarz,
-    RelationViolationError,
-    UncertaintyReport,
-    VarianceBound,
-    analyze_pair,
-    analyze_pairs,
-    cauchy_schwarz_check,
-    geometric_bound,
-    rs_bound,
-    variance,
-    variance_bound_check,
-)
-from .verify import CheckResult, run_battery, tolerance_scale
+# The package API is the union of these modules' __all__ lists.
+from .bundle import *
+from .linalg import *
+from .observables import *
+from .sampling import *
+from .uncertainty import *
+from .verify import *
 
 __version__ = "0.1.0"

@@ -31,9 +31,8 @@ from .io import (
     write_reports_csv,
     write_reports_json,
 )
-from .linalg import _hermitize
 from .observables import expected_value, ham_field, spin_half
-from .sampling import _ginibre, _haar, _orbit_states, make_rng, sample_spectrum
+from .sampling import _orbit_draws, make_rng, sample_spectrum
 from .uncertainty import RelationViolationError, _analyze_states, analyze_pair, analyze_pairs
 from .verify import ToleranceScaleError, run_battery
 
@@ -163,9 +162,8 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
     chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
     for start in range(0, samples, chunk):
         indices = range(start, min(start + chunk, samples))
-        # Per-index streams draw what sample_density and two sample_hermitian calls would, in order.
-        g = np.array([_ginibre(dim, dim, make_rng(seed, 1, index), 3) for index in indices])
-        reports = _analyze_states(_hermitize(g[:, 1:]), _orbit_states(spectrum, _haar(g[:, 0])), 1.0)
+        states, observables = _orbit_draws(spectrum, dim, (make_rng(seed, 1, index) for index in indices))
+        reports = _analyze_states(observables, states, 1.0)
         for index, (rep,) in zip(indices, reports):
             records.append(dict(zip(SWEEP_FIELDS, (index, seed, dim, rank)), **report_to_dict(rep)))
 
@@ -257,6 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("sweep", "verify") and args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     try:
         if args.command == "demo":

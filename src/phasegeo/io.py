@@ -10,6 +10,7 @@ the fixed order of REPORT_FIELDS.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from typing import Any
 
@@ -35,19 +36,8 @@ __all__ = [
     "write_reports_json",
 ]
 
-# Flattened report column order used by CSV output and sweep records.
-REPORT_FIELDS = (
-    "delta_a",
-    "delta_b",
-    "product",
-    "riemann",
-    "poisson",
-    "geometric_bound",
-    "rs_bound",
-    "slack_geometric",
-    "slack_rs",
-    "bound_winner",
-)
+# Flattened report column order used by CSV output and sweep records: the report's own field order.
+REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(UncertaintyReport))
 
 # Integer columns that prefix each sweep record, before REPORT_FIELDS.
 SWEEP_FIELDS = ("sample_index", "seed", "dimension", "rank")
@@ -168,20 +158,12 @@ def write_reports_json(fh, reports: list[dict], header: dict | None = None) -> N
     fh.write("\n")
 
 
-def _csv_cell(value: Any) -> str:
-    # Plain-float repr is the shortest lossless decimal form; numpy scalars
-    # would otherwise print as np.float64(...).
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_reports_csv(fh, reports: list[dict], extra_fields: tuple[str, ...] = ()) -> None:
     fields = tuple(extra_fields) + REPORT_FIELDS
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(fields)
     for rep in reports:
-        writer.writerow([_csv_cell(rep[f]) for f in fields])
+        writer.writerow([rep[f] for f in fields])
 
 
 def read_reports_csv(fh, extra_fields: tuple[str, ...] = ()) -> list[dict]:

@@ -9,6 +9,8 @@ order or in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .bundle import DensityOperator, Spectrum, DEG_TOL_DEFAULT
@@ -89,6 +91,15 @@ def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     return Observable(_hermitize(_ginibre(n, n, rng)))
 
 
+def _orbit_draws(spectrum: Spectrum, n: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked orbit states (S, n, n) and observable pairs (S, 2, n, n), one sample per generator.
+
+    Each generator draws what sample_density and then two sample_hermitian calls would, in order.
+    """
+    g = np.array([_ginibre(n, n, rng, 3) for rng in rngs])
+    return _orbit_states(spectrum, _haar(g[:, 0])), _hermitize(g[:, 1:])
+
+
 def sample_spectrum(rank: int, rng: np.random.Generator, deg_tol: float = DEG_TOL_DEFAULT) -> tuple[Spectrum, int]:
     """Uniform simplex spectrum of the given rank, kept away from degeneracy.
 
@@ -96,11 +107,15 @@ def sample_spectrum(rank: int, rng: np.random.Generator, deg_tol: float = DEG_TO
     Draws with a consecutive gap below GAP_SAFETY_FACTOR * deg_tol
     (relative to the top eigenvalue) or a smallest eigenvalue below
     MIN_EIGENVALUE are rejected; the second return value counts the
-    rejected draws.
+    rejected draws.  A deg_tol that no draw can meet raises ValueError
+    before any draw.
     """
     if rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank}")
     _check_positive(deg_tol, "deg_tol")
+    # The rank - 1 gaps sum to less than the top eigenvalue, so no draw meets a larger total.
+    if rank > 1 and GAP_SAFETY_FACTOR * deg_tol * (rank - 1) >= 1:
+        raise ValueError(f"deg_tol {deg_tol} is too large for rank {rank}: no draw has {rank - 1} such gaps")
     for resampled in range(MAX_SPECTRUM_DRAWS):
         e = np.sort(rng.standard_exponential(rank))[::-1]
         p = e / e.sum()

@@ -188,3 +188,28 @@ class TestOneEigendecompositionPerState:
         eig = hermitian_eig(rho.matrix)
         assert (rho.frame.values == eig.values).all()
         assert (rho.frame.vectors == eig.vectors).all()
+
+
+class TestSeedsAndSpectrumRoom:
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--dim", "2", "--rank", "1", "--samples", "1"], ["verify", "--dim", "2", "--samples", "1"]],
+        ids=["sweep", "verify"],
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "-1"])
+        assert err.value.code == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_sample_spectrum_rejects_a_deg_tol_no_draw_can_meet(self):
+        """Three eigenvalues need two gaps above 100 * deg_tol * p1 each, which sum to less than p1."""
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^deg_tol 0.005 is too large for rank 3"):
+            sample_spectrum(3, rng, deg_tol=0.005)
+        assert rng.bit_generator.state == state
+
+    def test_sample_spectrum_draws_just_below_the_bound(self):
+        spectrum, _ = sample_spectrum(2, make_rng(0), deg_tol=0.009)
+        assert spectrum.eigenvalues[0] - spectrum.eigenvalues[1] > 0.9 * spectrum.eigenvalues[0]
