@@ -14,7 +14,6 @@ physics).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from io import StringIO
 from itertools import combinations
@@ -25,6 +24,7 @@ from .bundle import DensityOperator, split, standard_lift
 from .io import (
     SWEEP_FIELDS,
     StateFileError,
+    _indented_json,
     load_observables,
     load_state,
     report_to_dict,
@@ -189,8 +189,7 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
             "records": records,
             "summary": summary,
         }
-        json.dump(doc, buf, indent=2)
-        buf.write("\n")
+        buf.write(_indented_json(doc) + "\n")
     else:
         write_reports_csv(buf, records, extra_fields=SWEEP_FIELDS)
     _emit(buf.getvalue(), output)

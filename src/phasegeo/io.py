@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
+from contextlib import suppress
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -54,12 +57,21 @@ def _parse_complex(entry: Any, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise StateFileError(f"{where}: complex entry must be [re, im], got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise StateFileError(f"{where}: complex entry is out of the float range") from None
 
 
 def _parse_matrix(obj: Any, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise StateFileError(f"{where}: expected {dim} rows, got {obj!r}")
+    # One check of the exact row, entry and value types; a miss or an overflow takes the loop, which names the entry.
+    entries = [*chain.from_iterable(obj)] if {*map(type, obj)} == {list} and {*map(len, obj)} == {dim} else [None]
+    values = [*chain.from_iterable(entries)] if {*map(type, entries)} <= {list, tuple} else [None]
+    if {*map(type, values)} <= {int, float} and {*map(len, entries)} == {2}:
+        with suppress(OverflowError):
+            return np.array(obj, dtype=np.float64).view(np.complex128).reshape(dim, dim)
     out = np.zeros((dim, dim), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
@@ -77,7 +89,7 @@ def parse_state(obj: Any) -> tuple[DensityOperator, float]:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise StateFileError(f"dimension: must be a positive integer, got {dim!r}")
     hbar = obj.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool) or not 0 < hbar < np.inf:
+    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool) or not 0 < hbar <= float(np.finfo(float).max):
         raise StateFileError(f"hbar: must be a positive finite number, got {hbar!r}")
     matrix = _parse_matrix(obj.get("matrix"), dim, "matrix")
     try:
@@ -91,7 +103,7 @@ def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, and an integer literal past int's digit limit
             raise StateFileError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -151,11 +163,25 @@ def report_from_dict(obj: dict) -> UncertaintyReport:
     return UncertaintyReport(**{key: obj[key] for key in REPORT_FIELDS})
 
 
+# The C encoder, with the indented layout's item separator at one nesting depth.
+_flat_encoder = functools.lru_cache(lambda pad: json.JSONEncoder(separators=("," + pad, ": ")))
+
+
+def _indented_json(obj: Any, level: int = 0) -> str:
+    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one."""
+    pad = "\n" + "  " * (level + 1)
+    items = (obj.values() if isinstance(obj, dict) else obj) if isinstance(obj, (dict, list, tuple)) else ()
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in {*map(type, items)}):
+        text = _flat_encoder(pad).encode(obj)
+        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if items else text
+    if isinstance(obj, dict):  # encoding {key: None} converts and escapes the key exactly as json does
+        items = [_flat_encoder(pad).encode({key: None})[1:-5] + _indented_json(v, level + 1) for key, v in obj.items()]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    return "[" + pad + ("," + pad).join([_indented_json(v, level + 1) for v in obj]) + pad[:-2] + "]"
+
+
 def write_reports_json(fh, reports: list[dict], header: dict | None = None) -> None:
-    doc = dict(header or {})
-    doc["reports"] = reports
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+    fh.write(_indented_json({**(header or {}), "reports": reports}) + "\n")
 
 
 def write_reports_csv(fh, reports: list[dict], extra_fields: tuple[str, ...] = ()) -> None:

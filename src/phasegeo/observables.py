@@ -15,6 +15,7 @@ the covariance identity needs it).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -124,6 +125,13 @@ def ham_field(obs: Observable, psi: Lift) -> np.ndarray:
     return obs.matrix @ psi.psi / (1j * psi.hbar)
 
 
+@functools.lru_cache
+def _same_block(multiplicities: tuple[int, ...]) -> np.ndarray:
+    """The (k, k) mask of index pairs in one multiplicity block."""
+    block = np.repeat(np.arange(len(multiplicities)), multiplicities)
+    return _readonly(block[:, None] == block)
+
+
 def _bracket_kernel(mats: np.ndarray, psi: np.ndarray, eigenvalues, multiplicities, hbar: float) -> np.ndarray:
     """Z_ij = {A_i,A_j}_g + i {A_i,A_j}_omega at one lift, or at each lift of a stack.
 
@@ -136,8 +144,7 @@ def _bracket_kernel(mats: np.ndarray, psi: np.ndarray, eigenvalues, multipliciti
     psi = psi[..., None, :, :]
     b = mats @ psi
     c = _dagger(psi) @ b
-    block = np.repeat(np.arange(len(multiplicities)), multiplicities)
-    inv_p = (block[:, None] == block) / np.asarray(eigenvalues)[..., None, None, :]
+    inv_p = _same_block(tuple(multiplicities)) / np.asarray(eigenvalues)[..., None, None, :]
     h = (b - psi @ (c * inv_p)).reshape(*b.shape[:-2], n * k)
     return (2.0 / hbar) * (h.conj() @ h.swapaxes(-1, -2))
 

@@ -23,14 +23,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import repeat
+from operator import ge, mul, sub
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .bundle import DEG_TOL_DEFAULT, RANK_TOL_DEFAULT, DensityOperator, Lift
 from .bundle import _check_spectra, _density_frames, _lift_array, _spectral_groups, _standard_psi
-from .linalg import _hermitian_matrix
+from .linalg import _hermitian_matrix, _readonly
 from .observables import Observable, _bracket_kernel, _real_trace, _stack, bracket_matrix, expected_value
 
 __all__ = [
@@ -187,6 +189,13 @@ def analyze_pairs(
     return _reports(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)[0]
 
 
+@lru_cache
+def _pair_index(states: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """Each state's pairs i < j of n observables, row-major, as flat indices into (states, n) and (states, n, n)."""
+    a, b = (np.triu_indices(n, 1) + n * np.arange(states)[:, None, None]).swapaxes(0, 1).reshape(2, -1)
+    return tuple(a.tolist()), tuple(b.tolist()), _readonly(n * a + b % n)
+
+
 def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
     """analyze_pairs at the standard lift of each state (S, n, n), with every input rule, per slice."""
     rho, frames = _density_frames(states, stacked=True)
@@ -202,38 +211,37 @@ def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) ->
 
 
 def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
-    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N): scalar guards."""
+    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N), in Python floats:
+    one pass over all S*N spreads, whose faults come first, then one over all S*P pairs."""
     products = mats @ rho[:, None]
     traces = products.trace(axis1=-2, axis2=-1)
     seconds = (mats @ mats @ rho[:, None]).trace(axis1=-2, axis2=-1).real
     means = traces.real
     sigma = np.einsum("...ikl,...jlk->...ij", mats, products) - means[..., :, None] * means[..., None, :]
-    norms = np.linalg.norm(mats, axis=(-2, -1))
-    out = []
-    for traces_s, seconds_s, norms_s, z_s, sigma_s in zip(*(x.tolist() for x in (traces, seconds, norms, z, sigma))):
-        moments = zip(traces_s, seconds_s, norms_s)
-        spreads = [math.sqrt(_clamped_variance(second, _real_trace(t), norm)) for t, second, norm in moments]
-        out.append([])
-        for i, j in combinations(range(len(spreads)), 2):
-            product = spreads[i] * spreads[j]
-            bracket = z_s[i][j]
-            geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
-            rs = math.hypot(sigma_s[i][j].real, sigma_s[i][j].imag)
-            slack_geo = product - geo
-            slack_rs = product - rs
-            scale = max(product, geo, rs, min(1.0, norms_s[i] * norms_s[j]))
-            if not slack_geo >= -_SLACK_TOL * scale:
-                raise RelationViolationError(f"geometric bound {geo!r} exceeds spread product {product!r}")
-            if not slack_rs >= -_SLACK_TOL * scale:
-                raise RelationViolationError(
-                    f"Robertson-Schrodinger bound {rs!r} exceeds spread product {product!r}"
-                )
-            winner = "geometric" if geo > rs else "robertson_schrodinger"
-            if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
-                winner = "tie"
-            fields = (spreads[i], spreads[j], product, bracket.real, bracket.imag, geo, rs, slack_geo, slack_rs)
-            out[-1].append(UncertaintyReport(*fields, winner))
-    return out
+    norms = np.linalg.norm(mats, axis=(-2, -1)).ravel().tolist()
+    moments = (seconds.ravel().tolist(), map(_real_trace, traces.ravel().tolist()), norms)
+    spreads = [*map(math.sqrt, map(_clamped_variance, *moments))]
+    a, b, ab = _pair_index(*mats.shape[:2])
+    delta_a, delta_b = [*map(spreads.__getitem__, a)], [*map(spreads.__getitem__, b)]
+    bracket, cov = z.take(ab), sigma.take(ab)
+    riemann, poisson = bracket.real.tolist(), bracket.imag.tolist()
+    product = [*map(mul, delta_a, delta_b)]
+    # math.hypot, not numpy's hypot or abs, which round differently in some last bits.
+    geo = [*map(mul, repeat(0.5 * hbar), map(math.hypot, riemann, poisson))]
+    rs = [*map(math.hypot, cov.real.tolist(), cov.imag.tolist())]
+    slack_geo, slack_rs = [*map(sub, product, geo)], [*map(sub, product, rs)]
+    top = [*map(max, product, geo, rs)]
+    floors = map(min, repeat(1.0), map(mul, map(norms.__getitem__, a), map(norms.__getitem__, b)))
+    tol = [*map(mul, repeat(-_SLACK_TOL), map(max, top, floors))]
+    if not all(map(ge, slack_geo, tol)) or not all(map(ge, slack_rs, tol)):
+        k = next(k for k, t in enumerate(tol) if not slack_geo[k] >= t or not slack_rs[k] >= t)
+        bound, value = ("geometric", geo[k]) if not slack_geo[k] >= tol[k] else ("Robertson-Schrodinger", rs[k])
+        raise RelationViolationError(f"{bound} bound {value!r} exceeds spread product {product[k]!r}")
+    winners = ["tie" if abs(g - r) <= _TIE_TOL * t else "geometric" if g > r else "robertson_schrodinger"
+               for g, r, t in zip(geo, rs, top)]
+    columns = (delta_a, delta_b, product, riemann, poisson, geo, rs, slack_geo, slack_rs, winners)
+    reports, p = [*map(UncertaintyReport, *columns)], len(a) // len(mats)
+    return [reports[k : k + p] for k in range(0, len(reports), p)] if p else [[] for _ in mats]
 
 
 def analyze_pair(

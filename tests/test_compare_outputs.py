@@ -104,3 +104,16 @@ def test_demo_text_must_match_byte_for_byte():
     assert compare_outputs.compare_case(_proc(text), _proc(text), "demo") == ("byte-identical", True)
     flipped = _proc(text.replace("0.5      +0.j", "0.5      -0.j"))
     assert compare_outputs.compare_case(_proc(text), flipped, "demo") == ("text differs", False)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_escaped_names_case_keeps_every_name(fmt, tmp_path, capsys):
+    from phasegeo.cli import main
+
+    state, observables = compare_outputs.escaped_names_files(str(tmp_path))
+    assert main(["analyze", "--state", state, "--observables", observables, "--format", fmt]) == 0
+    records = compare_outputs._records(capsys.readouterr().out, fmt)
+    names = compare_outputs.ESCAPED_NAMES
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    assert [(rec["a"], rec["b"]) for rec in records[: len(pairs)]] == pairs
+    assert len(records) == len(pairs) + (fmt == "json")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +214,44 @@ class TestSeedsAndSpectrumRoom:
     def test_sample_spectrum_draws_just_below_the_bound(self):
         spectrum, _ = sample_spectrum(2, make_rng(0), deg_tol=0.009)
         assert spectrum.eigenvalues[0] - spectrum.eigenvalues[1] > 0.9 * spectrum.eigenvalues[0]
+
+
+class TestOversizedIntegers:
+    """A JSON integer beyond the float range is an input error that names its field or entry."""
+
+    BIG = "1" + "0" * 400
+    STATE = '{"dimension": 2, "hbar": %s, "matrix": [[[0.75, 0], [0, 0]], [[0, 0], [%s, 0]]]}'
+    OBSERVABLES = (
+        '{"observables": [{"name": "Sx", "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]},'
+        ' {"name": "Sy", "matrix": [[[0, 0], [0, %s]], [[0, 0.5], [0, 0]]]}]}'
+    )
+
+    @pytest.mark.parametrize(
+        "hbar, state_entry, obs_entry, where",
+        [
+            ("1.0", BIG, "-0.5", "matrix[1][1]: complex entry is out of the float range"),
+            (BIG, "0.25", "-0.5", "hbar: must be a positive finite number"),
+            ("1.0", "0.25", "-" + BIG, "observables[1].matrix[0][1]: complex entry is out of the float range"),
+        ],
+        ids=["state_matrix", "hbar", "observable_matrix"],
+    )
+    def test_analyze_exits_2_naming_the_field(self, hbar, state_entry, obs_entry, where, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(self.STATE % (hbar, state_entry))
+        obs = tmp_path / "obs.json"
+        obs.write_text(self.OBSERVABLES % obs_entry)
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(self.STATE % ("1" * (sys.get_int_max_str_digits() + 1), "0.25"))
+        obs = tmp_path / "obs.json"
+        obs.write_text(self.OBSERVABLES % "-0.5")
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {state}: invalid JSON (Exceeds the limit")
+        assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Tests for variances, the two uncertainty bounds, and the pair reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,3 +304,126 @@ class TestGuardsScaleWithUnits:
         rho, observables, hbar = _analyze_wide_inputs()
         reports = uncertainty.analyze_pairs([Observable(scale * obs.matrix) for obs in observables], rho, hbar)
         assert len(reports) == len(observables) * (len(observables) - 1) // 2
+
+
+class TestGuardsNameTheFirstFailingPair:
+    """With four observables, a planted fault is reported with the values of the first pair it breaks."""
+
+    HBAR = 0.7
+
+    @pytest.fixture()
+    def case(self):
+        rng = make_rng(91)
+        rho, _, _ = _random_case(4, rng, rank=3)
+        observables = [sample_hermitian(4, rng) for _ in range(4)]
+        # Pairs in row-major order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+        return rho, observables, uncertainty.analyze_pairs(observables, rho, self.HBAR)
+
+    @staticmethod
+    def _shrink_variance(monkeypatch, obs, factor):
+        """Scale the variance of ``obs`` (told apart by its norm) and keep what the spreads are built from."""
+        real = uncertainty._clamped_variance
+        target = float(np.linalg.norm(obs.matrix))
+        shrunk = []
+
+        def clamped_variance(second, mean, norm):
+            v = real(second, mean, norm)
+            if math.isclose(norm, target, rel_tol=1e-12):
+                shrunk.append(v * factor)
+                return shrunk[-1]
+            return v
+
+        monkeypatch.setattr(uncertainty, "_clamped_variance", clamped_variance)
+        return shrunk
+
+    def test_inflated_bracket_names_its_pair(self, monkeypatch, case):
+        rho, observables, reports = case
+        pair = reports[4]
+        factor = 2.0 * pair.product / pair.geometric_bound
+        z = uncertainty.bracket_matrix(observables, rho, self.HBAR)[1, 3] * factor
+        real = uncertainty.bracket_matrix
+
+        def inflated(*args, **kwargs):
+            z = real(*args, **kwargs).copy()
+            z[1, 3] *= factor
+            return z
+
+        monkeypatch.setattr(uncertainty, "bracket_matrix", inflated)
+        geo = 0.5 * self.HBAR * math.hypot(z.real, z.imag)
+        message = f"geometric bound {geo!r} exceeds spread product {pair.product!r}"
+        with pytest.raises(RelationViolationError, match="^" + re.escape(message) + "$"):
+            uncertainty.analyze_pairs(observables, rho, self.HBAR)
+
+    def test_pair_breaking_both_bounds_gets_the_geometric_message(self, monkeypatch, case):
+        rho, observables, reports = case
+        shrunk = self._shrink_variance(monkeypatch, observables[1], 1e-8)
+        with pytest.raises(RelationViolationError) as err:
+            uncertainty.analyze_pairs(observables, rho, self.HBAR)
+        pair = reports[0]
+        product = pair.delta_a * math.sqrt(shrunk[0])
+        assert min(pair.geometric_bound, pair.rs_bound) > 2 * product
+        assert str(err.value) == f"geometric bound {pair.geometric_bound!r} exceeds spread product {product!r}"
+
+    def test_pair_breaking_only_rs_gets_the_rs_message(self, monkeypatch, case):
+        rho, observables, reports = case
+        j, pair = next((j, rep) for j, rep in zip((1, 2, 3), reports) if rep.rs_bound > 1.01 * rep.geometric_bound)
+        # Put the spread product halfway between the two bounds.
+        factor = (0.5 * (pair.geometric_bound + pair.rs_bound) / pair.product) ** 2
+        shrunk = self._shrink_variance(monkeypatch, observables[j], factor)
+        with pytest.raises(RelationViolationError) as err:
+            uncertainty.analyze_pairs(observables, rho, self.HBAR)
+        product = pair.delta_a * math.sqrt(shrunk[0])
+        assert pair.geometric_bound < product < pair.rs_bound
+        assert str(err.value) == f"Robertson-Schrodinger bound {pair.rs_bound!r} exceeds spread product {product!r}"
+
+
+def _scalar_reports(mats, rho, z, hbar):
+    """The pair-by-pair loop that uncertainty._reports replaced, kept as its reference."""
+    from itertools import combinations
+
+    from phasegeo.observables import _real_trace
+    from phasegeo.uncertainty import _SLACK_TOL, _TIE_TOL, UncertaintyReport, _clamped_variance
+
+    products = mats @ rho[:, None]
+    traces = products.trace(axis1=-2, axis2=-1)
+    seconds = (mats @ mats @ rho[:, None]).trace(axis1=-2, axis2=-1).real
+    means = traces.real
+    sigma = np.einsum("...ikl,...jlk->...ij", mats, products) - means[..., :, None] * means[..., None, :]
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    out = []
+    for traces_s, seconds_s, norms_s, z_s, sigma_s in zip(*(x.tolist() for x in (traces, seconds, norms, z, sigma))):
+        moments = zip(traces_s, seconds_s, norms_s)
+        spreads = [math.sqrt(_clamped_variance(second, _real_trace(t), norm)) for t, second, norm in moments]
+        out.append([])
+        for i, j in combinations(range(len(spreads)), 2):
+            product = spreads[i] * spreads[j]
+            bracket = z_s[i][j]
+            geo = 0.5 * hbar * math.hypot(bracket.real, bracket.imag)
+            rs = math.hypot(sigma_s[i][j].real, sigma_s[i][j].imag)
+            scale = max(product, geo, rs, min(1.0, norms_s[i] * norms_s[j]))
+            assert product - geo >= -_SLACK_TOL * scale and product - rs >= -_SLACK_TOL * scale
+            winner = "geometric" if geo > rs else "robertson_schrodinger"
+            if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
+                winner = "tie"
+            fields = (spreads[i], spreads[j], product, bracket.real, bracket.imag, geo, rs, product - geo, product - rs)
+            out[-1].append(UncertaintyReport(*fields, winner))
+    return out
+
+
+@pytest.mark.parametrize(
+    "states, count, dim, rank",
+    [(1, 2, 4, 3), (1, 7, 3, 2), (5, 2, 4, 3), (3, 5, 5, 5), (4, 3, 3, 1), (2, 0, 2, 1), (1, 48, 4, 3), (40, 4, 3, 2)],
+)
+def test_columnar_reports_equal_the_scalar_loop_bit_for_bit(states, count, dim, rank):
+    from dataclasses import astuple
+
+    rng = make_rng(404, states, count)
+    spectrum, _ = sample_spectrum(rank, rng)
+    rhos = [sample_density(spectrum, dim, rng) for _ in range(states)]
+    observables = [[sample_hermitian(dim, rng) for _ in range(count)] for _ in range(states)]
+    mats = np.array([[a.matrix for a in row] for row in observables]).reshape(states, count, dim, dim)
+    rho = np.array([r.matrix for r in rhos])
+    z = np.array([uncertainty.bracket_matrix(row, r, 0.8) for row, r in zip(observables, rhos)])
+    got = uncertainty._reports(mats, rho, z.reshape(states, count, count), 0.8)
+    want = _scalar_reports(mats, rho, z.reshape(states, count, count), 0.8)
+    assert [[repr(astuple(r)) for r in row] for row in got] == [[repr(astuple(r)) for r in row] for row in want]

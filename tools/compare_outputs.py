@@ -8,7 +8,9 @@ per tree, with that directory on PYTHONPATH and OpenBLAS pinned to one
 thread:
 
 - ``analyze`` (JSON and CSV) on the analyze-wide inputs of
-  ``perfbench/workloads.py`` at seeds 1 and 2;
+  ``perfbench/workloads.py`` at seeds 1 and 2, and on a dim-3 state with
+  observables whose names need JSON escaping and CSV quoting (non-ASCII,
+  ``"``, ``\\``, a comma, a newline), generated here;
 - ``sweep`` at (dim, rank, samples) (4, 3, 200), (32, 16, 10) and
   (2, 1, 100) (pure states) in JSON, and (6, 6, 100) and (3, 2, 4000) in
   CSV, each at seeds 3-5.  The 4000 samples at dimension 3 fill more than
@@ -49,6 +51,8 @@ SWEEP_SEEDS = (3, 4, 5)
 VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12))
 ANALYZE_SEEDS = (1, 2)
 DEMOS = (("--p1", "0.75"), ("--p1", "0.5", "--hbar", "2"), ("--p1", "0.999"))
+# Observable names that JSON must escape and CSV must quote.
+ESCAPED_NAMES = ("Ŝ_x", 'say "hi"', "back\\slash", "a, b", "two\nlines", "日本")
 
 
 def _analyze_files(workdir: str) -> dict[int, object]:
@@ -63,13 +67,36 @@ def _analyze_files(workdir: str) -> dict[int, object]:
     }
 
 
+def escaped_names_files(workdir: str) -> tuple[str, str]:
+    """A dim-3 state at hbar 0.75 and one observable per name of ESCAPED_NAMES, from numpy's own Generator."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(11))
+    shape = (1 + len(ESCAPED_NAMES), 3, 3)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u, _ = np.linalg.qr(g[0])
+    rho = (u * [0.5, 0.3, 0.2]) @ u.conj().T
+    mats = [0.5 * (rho + rho.conj().T)] + [0.5 * (a + a.conj().T) for a in g[1:]]
+    pairs = [np.stack((m.real, m.imag), axis=-1).tolist() for m in mats]
+    paths = (os.path.join(workdir, "escaped_state.json"), os.path.join(workdir, "escaped_observables.json"))
+    docs = (
+        {"dimension": 3, "hbar": 0.75, "matrix": pairs[0]},
+        {"observables": [{"name": name, "matrix": m} for name, m in zip(ESCAPED_NAMES, pairs[1:])]},
+    )
+    for path, doc in zip(paths, docs):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, ensure_ascii=False)
+    return paths
+
+
 def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
     """(label, CLI arguments, output kind) of every case, in print order."""
     cases = []
-    for seed, files in _analyze_files(workdir).items():
+    inputs = [(f"seed {seed}", files.state, files.observables) for seed, files in _analyze_files(workdir).items()]
+    for label, state, observables in inputs + [("escaped names", *escaped_names_files(workdir))]:
         for fmt in ("json", "csv"):
-            argv = ["analyze", "--state", files.state, "--observables", files.observables]
-            cases.append((f"analyze seed {seed} {fmt}", argv + ["--format", fmt], fmt))
+            argv = ["analyze", "--state", state, "--observables", observables]
+            cases.append((f"analyze {label} {fmt}", argv + ["--format", fmt], fmt))
     for dim, rank, samples, fmt in SWEEPS:
         for seed in SWEEP_SEEDS:
             argv = ["sweep", "--dim", str(dim), "--rank", str(rank), "--samples", str(samples)]
