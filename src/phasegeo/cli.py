@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from io import StringIO
-from itertools import combinations
 
 import numpy as np
 
@@ -25,15 +24,15 @@ from .io import (
     SWEEP_FIELDS,
     StateFileError,
     _indented_json,
+    _write_pair_columns,
     load_observables,
     load_state,
     report_to_dict,
     write_reports_csv,
-    write_reports_json,
 )
 from .observables import expected_value, ham_field, spin_half
 from .sampling import _orbit_draws, make_rng, sample_spectrum
-from .uncertainty import RelationViolationError, _analyze_states, analyze_pair, analyze_pairs
+from .uncertainty import RelationViolationError, _analyze_states, _pair_columns, analyze_pair
 from .verify import ToleranceScaleError, run_battery
 
 __all__ = ["main", "entry"]
@@ -143,15 +142,9 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
     named = load_observables(observables_path, rho.dim)
     if len(named) < 2:
         print("warning: fewer than two observables, no pairs to analyze", file=sys.stderr)
-    names = [name for name, _ in named]
-    reps = analyze_pairs([obs for _, obs in named], rho, hbar)
-    reports = [report_to_dict(rep, a, b) for rep, (a, b) in zip(reps, combinations(names, 2))]
-
+    columns = _pair_columns([obs for _, obs in named], rho, hbar)
     buf = StringIO()
-    if fmt == "json":
-        write_reports_json(buf, reports, {"dimension": rho.dim, "hbar": hbar})
-    else:
-        write_reports_csv(buf, reports, extra_fields=("a", "b"))
+    _write_pair_columns(buf, fmt, {"dimension": rho.dim, "hbar": hbar}, [name for name, _ in named], *columns)
     _emit(buf.getvalue(), output)
     return EXIT_OK
 

@@ -3,8 +3,11 @@
 Complex numbers are serialized as two-element [re, im] sequences, which is
 unambiguous and language-neutral.  JSON is the canonical format; floats
 pass through Python's shortest round-trip repr, so serialize-then-parse is
-lossless at full double precision.  CSV rows flatten the report fields in
-the fixed order of REPORT_FIELDS.
+lossless at full double precision.  The JSON writer is json.dumps(obj,
+indent=2) byte for byte; a list of flat records under one key tuple is
+written column by column, each key encoded once into a %-template that
+each record fills.  CSV rows flatten the report fields in the fixed order
+of REPORT_FIELDS.
 """
 
 from __future__ import annotations
@@ -167,8 +170,38 @@ def report_from_dict(obj: dict) -> UncertaintyReport:
 _flat_encoder = functools.lru_cache(lambda pad: json.JSONEncoder(separators=("," + pad, ": ")))
 
 
+def _json_column(values) -> tuple[str, list] | None:
+    """A column of scalars as a %-conversion and its cells: exact ints, and exact floats that are all finite, as
+    themselves under %r (repr is float.__repr__ on an exact float), any other column as its JSON text under %s.
+    None if the column holds a container."""
+    kinds = {*map(type, values)}
+    if kinds <= {int} or kinds == {float} and abs(sum(values)) < np.inf:  # a NaN or an infinity makes the sum one
+        return "%r", values
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        return None
+    return "%s", [*map(json.encoder.encode_basestring_ascii if kinds == {str} else _flat_encoder("").encode, values)]
+
+
+@functools.lru_cache
+def _record_template(keys: tuple[str, ...], conversions: tuple[str, ...], pad: str) -> str:
+    """The %-template of one record: each str key encoded as json does, then its column's conversion."""
+    encoded = map(json.encoder.encode_basestring_ascii, keys)
+    fields = [key.replace("%", "%%") + ": " + conversion for key, conversion in zip(encoded, conversions)]
+    return "{" + pad + "  " + ("," + pad + "  ").join(fields) + pad + "}"
+
+
+def _records_json(keys: tuple[str, ...], columns: list[tuple[str, list]], level: int) -> str:
+    """json.dumps(records, indent=2) at a nesting depth, from one _json_column per str key: one fill of one
+    %-template per record."""
+    pad = "\n" + "  " * (level + 1)
+    conversions, cells = zip(*columns)
+    records = [*map(_record_template(keys, conversions, pad).__mod__, zip(*cells))]
+    return "[" + pad + ("," + pad).join(records) + pad[:-2] + "]" if records else "[]"
+
+
 def _indented_json(obj: Any, level: int = 0) -> str:
-    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one."""
+    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one,
+    and a list of flat dicts with one tuple of str keys goes to _records_json column by column."""
     pad = "\n" + "  " * (level + 1)
     items = (obj.values() if isinstance(obj, dict) else obj) if isinstance(obj, (dict, list, tuple)) else ()
     if not any(issubclass(kind, (dict, list, tuple)) for kind in {*map(type, items)}):
@@ -177,6 +210,11 @@ def _indented_json(obj: Any, level: int = 0) -> str:
     if isinstance(obj, dict):  # encoding {key: None} converts and escapes the key exactly as json does
         items = [_flat_encoder(pad).encode({key: None})[1:-5] + _indented_json(v, level + 1) for key, v in obj.items()]
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    keys = tuple(obj[0]) if isinstance(obj[0], dict) else ()
+    if keys and {*map(type, keys)} == {str} and all(isinstance(v, dict) and tuple(v) == keys for v in obj):
+        columns = [*map(_json_column, zip(*(v.values() for v in obj)))]
+        if None not in columns:
+            return _records_json(keys, columns, level)
     return "[" + pad + ("," + pad).join([_indented_json(v, level + 1) for v in obj]) + pad[:-2] + "]"
 
 
@@ -188,8 +226,25 @@ def write_reports_csv(fh, reports: list[dict], extra_fields: tuple[str, ...] = (
     fields = tuple(extra_fields) + REPORT_FIELDS
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(fields)
-    for rep in reports:
-        writer.writerow([rep[f] for f in fields])
+    writer.writerows([rep[f] for f in fields] for rep in reports)
+
+
+def _write_pair_columns(fh, fmt: str, header: dict, names: list[str], spreads: list[float], pairs, columns) -> None:
+    """analyze's reports in "json" (under ``header``) or "csv", straight from uncertainty._report_columns: each name
+    and spread is formatted once per observable and indexed by the pairs (a, b); no record is built."""
+    encode = _json_column if fmt == "json" else lambda values: ("", values)
+    (name, names), (spread, spreads), *columns = map(encode, (names, spreads, *columns))
+    a, b = pairs
+    per_observable = ((name, names, a), (name, names, b), (spread, spreads, a), (spread, spreads, b))
+    columns = [(kind, [*map(v.__getitem__, i)]) for kind, v, i in per_observable] + columns
+    keys = ("a", "b") + REPORT_FIELDS
+    if fmt == "json":  # the reports go in place of the placeholder, the last value of the document
+        before, _, after = _indented_json({**header, "reports": None}).rpartition("null")
+        fh.write(before + _records_json(keys, columns, 1) + after + "\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows(zip(*(cells for _, cells in columns)))
 
 
 def read_reports_csv(fh, extra_fields: tuple[str, ...] = ()) -> list[dict]:

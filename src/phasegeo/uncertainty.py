@@ -210,9 +210,23 @@ def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) ->
     return out
 
 
+def _pair_columns(observables: Sequence[Observable], rho: DensityOperator, hbar: float) -> tuple:
+    """analyze_pairs as the columns of _report_columns, with no report built."""
+    z = bracket_matrix(observables, rho, hbar)
+    return _report_columns(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)
+
+
 def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
-    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N), in Python floats:
-    one pass over all S*N spreads, whose faults come first, then one over all S*P pairs."""
+    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N), from _report_columns."""
+    spreads, (a, b), columns = _report_columns(mats, rho, z, hbar)
+    reports = [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
+    p = len(a) // len(mats)
+    return [reports[k : k + p] for k in range(0, len(reports), p)] if p else [[] for _ in mats]
+
+
+def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> tuple:
+    """The S*N spreads, the pair indices (a, b) into them and the report columns after delta_a and delta_b, in
+    Python floats: one pass over all spreads, whose faults come first, then one over all S*P pairs."""
     products = mats @ rho[:, None]
     traces = products.trace(axis1=-2, axis2=-1)
     seconds = (mats @ mats @ rho[:, None]).trace(axis1=-2, axis2=-1).real
@@ -222,10 +236,9 @@ def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> l
     moments = (seconds.ravel().tolist(), map(_real_trace, traces.ravel().tolist()), norms)
     spreads = [*map(math.sqrt, map(_clamped_variance, *moments))]
     a, b, ab = _pair_index(*mats.shape[:2])
-    delta_a, delta_b = [*map(spreads.__getitem__, a)], [*map(spreads.__getitem__, b)]
     bracket, cov = z.take(ab), sigma.take(ab)
     riemann, poisson = bracket.real.tolist(), bracket.imag.tolist()
-    product = [*map(mul, delta_a, delta_b)]
+    product = [*map(mul, map(spreads.__getitem__, a), map(spreads.__getitem__, b))]
     # math.hypot, not numpy's hypot or abs, which round differently in some last bits.
     geo = [*map(mul, repeat(0.5 * hbar), map(math.hypot, riemann, poisson))]
     rs = [*map(math.hypot, cov.real.tolist(), cov.imag.tolist())]
@@ -239,9 +252,7 @@ def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> l
         raise RelationViolationError(f"{bound} bound {value!r} exceeds spread product {product[k]!r}")
     winners = ["tie" if abs(g - r) <= _TIE_TOL * t else "geometric" if g > r else "robertson_schrodinger"
                for g, r, t in zip(geo, rs, top)]
-    columns = (delta_a, delta_b, product, riemann, poisson, geo, rs, slack_geo, slack_rs, winners)
-    reports, p = [*map(UncertaintyReport, *columns)], len(a) // len(mats)
-    return [reports[k : k + p] for k in range(0, len(reports), p)] if p else [[] for _ in mats]
+    return spreads, (a, b), (product, riemann, poisson, geo, rs, slack_geo, slack_rs, winners)
 
 
 def analyze_pair(

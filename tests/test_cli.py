@@ -1,11 +1,18 @@
 """Tests for the command line surface: exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
+import phasegeo.cli
+import phasegeo.io
+import phasegeo.uncertainty
 from phasegeo.cli import main
-from phasegeo.io import read_reports_csv
+from phasegeo.io import REPORT_FIELDS, parse_observables, parse_state, read_reports_csv, report_to_dict
+from phasegeo.uncertainty import UncertaintyReport, analyze_pair
 
 STATE_JSON = json.dumps(
     {
@@ -101,19 +108,63 @@ class TestAnalyze:
         assert len(records) == 3
         assert records[0]["a"] == "Sx"
 
-    def test_single_observable_warns_but_succeeds(self, tmp_path, capsys):
+    @staticmethod
+    def _first(tmp_path, count):
+        """The state file and a file of the first ``count`` spin observables."""
         state = tmp_path / "state.json"
         state.write_text(STATE_JSON)
-        obs = tmp_path / "one.json"
-        obs.write_text(
-            json.dumps(
-                {"observables": [{"name": "Sx", "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]}]}
-            )
-        )
-        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 0
+        obs = tmp_path / f"first{count}.json"
+        obs.write_text(json.dumps({"observables": json.loads(SPIN_OBSERVABLES_JSON)["observables"][:count]}))
+        return ["analyze", "--state", str(state), "--observables", str(obs)]
+
+    def test_single_observable_warns_but_succeeds(self, tmp_path, capsys):
+        assert main(self._first(tmp_path, 1)) == 0
         captured = capsys.readouterr()
         assert "fewer than two observables" in captured.err
-        assert json.loads(captured.out)["reports"] == []
+        assert captured.out == json.dumps({"dimension": 2, "hbar": 1.0, "reports": []}, indent=2) + "\n"
+
+    def test_single_observable_csv_is_the_header_alone(self, tmp_path, capsys):
+        assert main(self._first(tmp_path, 1) + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == ",".join(("a", "b") + REPORT_FIELDS) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_two_observables_give_the_one_pair_report(self, tmp_path, capsys, fmt):
+        rho, hbar = parse_state(json.loads(STATE_JSON))
+        (_, sx), (_, sy) = parse_observables(json.loads(SPIN_OBSERVABLES_JSON), 2)[:2]
+        report = report_to_dict(analyze_pair(sx, sy, rho, hbar), "Sx", "Sy")
+        buf = io.StringIO()
+        if fmt == "json":
+            buf.write(json.dumps({"dimension": 2, "hbar": 1.0, "reports": [report]}, indent=2) + "\n")
+        else:
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerows([list(report), list(report.values())])
+        assert main(self._first(tmp_path, 2) + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == buf.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reports_go_from_the_columns_to_text(self, files, monkeypatch, capsys, fmt):
+        """analyze builds no UncertaintyReport and calls no report_to_dict."""
+        calls = []
+        real_init = UncertaintyReport.__init__
+        monkeypatch.setattr(UncertaintyReport, "__init__", lambda *args: calls.append("report") or real_init(*args))
+        real = phasegeo.io.report_to_dict
+        for module in (phasegeo.io, phasegeo.cli):
+            monkeypatch.setattr(module, "report_to_dict", lambda *args: calls.append("dict") or real(*args))
+        state, obs = files
+        assert main(["analyze", "--state", state, "--observables", obs, "--format", fmt]) == 0
+        assert capsys.readouterr().out.count("Sx") == 2
+        assert calls == []
+
+    def test_nan_brackets_exit_3(self, files, monkeypatch, capsys):
+        def bracket_matrix(observables, rho, hbar=1.0, *, lift=None):
+            return np.full((len(observables), len(observables)), np.nan, dtype=complex)
+
+        monkeypatch.setattr(phasegeo.uncertainty, "bracket_matrix", bracket_matrix)
+        state, obs = files
+        assert main(["analyze", "--state", state, "--observables", obs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("relation violation (internal fault): geometric bound nan exceeds")
 
     def test_malformed_entry_exits_2_naming_index(self, tmp_path, capsys):
         state = tmp_path / "state.json"

@@ -1,5 +1,8 @@
-"""The indented-JSON writer equals json.dumps(obj, indent=2), and the one-pass matrix parser keeps every rule and message."""
+"""The indented-JSON writer equals json.dumps(obj, indent=2), the column formatter equals json and csv record by record,
+and the one-pass matrix parser keeps every rule and message."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -9,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasegeo.io import StateFileError, _indented_json, parse_observables, parse_state
+from phasegeo import io as pio
+from phasegeo.io import (
+    REPORT_FIELDS,
+    StateFileError,
+    _indented_json,
+    _write_pair_columns,
+    parse_observables,
+    parse_state,
+    write_reports_csv,
+)
 
 # Text that needs escaping, or that looks like the writer's own separators.
 _AWKWARD = st.sampled_from(["é", "Ŝ", "日本", "\U0001f600", '"', "\\", "\n", "\t", ", ", '"},\n', " ", ""])
@@ -56,6 +68,129 @@ class TestIndentedJson:
         pair = namedtuple("pair", "x y")
         obj = {"a": OrderedDict(b=[1, pair(2.5, [3])])}
         assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+
+# Record keys and names that need escaping, or that look like the formatter's own template.
+_TEMPLATE_LIKE = st.sampled_from(["%s", "%", "\x00", "\x1f", "\x7f", "\u2028"])
+_NAMES = st.lists(st.one_of(_AWKWARD, _TEMPLATE_LIKE, st.text(max_size=3)), max_size=3).map("".join)
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+# One kind of scalar per column, as real records hold; the last strategy mixes kinds within a column.
+_COLUMN_KINDS = [
+    st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats().map(np.float64),
+    _INTS,
+    st.booleans(),
+    _NAMES,
+    _SCALARS,
+]
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(_NAMES, min_size=1, max_size=5))
+    kinds = [draw(st.sampled_from(_COLUMN_KINDS)) for _ in keys]
+    size = draw(st.integers(0, 6))
+    return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(size)]
+
+
+def _records_calls(monkeypatch):
+    calls = []
+    real = pio._records_json
+
+    def spy(keys, columns, level):
+        calls.append(level)
+        return real(keys, columns, level)
+
+    monkeypatch.setattr(pio, "_records_json", spy)
+    return calls
+
+
+class TestRecordFormatter:
+    """Lists of flat records with one key tuple go through the column formatter and still equal json.dumps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records(), st.integers(0, 3))
+    def test_equals_json_dumps_at_every_depth(self, records, depth):
+        obj = records
+        for level in range(depth):
+            obj = {"level": obj} if level % 2 else [obj]
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_edge_values_take_the_column_formatter(self, monkeypatch, count):
+        calls = _records_calls(monkeypatch)
+        columns = {
+            'na"me\\\n\x01é日%s': ["A", 'say "hi"', "\x00\u2028", "日本"],
+            "float": _EDGE_FLOATS + [0.1, 1e16],
+            "finite": [0.0, -0.0, 5e-324, 1.7976931348623157e308, 2.5e-320],
+            "np.float64": [np.float64(v) for v in _EDGE_FLOATS],
+            "mixed floats": [np.float64(0.5), 0.25, 1.0],
+            "int": [0, -1, 2**53 + 1, 10**30],
+            "bool": [True, False],
+            "none": [None],
+        }
+        records = [{key: values[k % len(values)] for key, values in columns.items()} for k in range(count)]
+        doc = {"hbar": 0.5, "reports": records}
+        assert _indented_json(doc) == json.dumps(doc, indent=2)
+        assert calls == [1]
+
+    def test_zero_records_and_unshared_keys_keep_the_walk(self, monkeypatch):
+        calls = _records_calls(monkeypatch)
+        for obj in ([], {"reports": []}, [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": [1]}], [{1: 0.5}, {1: 0.5}], [{}, {}]):
+            assert _indented_json(obj) == json.dumps(obj, indent=2)
+        assert calls == []
+
+
+def _pair_columns(n):
+    """Hand-made pair indices and columns in the layout of uncertainty._report_columns: pairs i < j, row-major."""
+    a = [i for i in range(n) for _ in range(i + 1, n)]
+    b = [j for i in range(n) for j in range(i + 1, n)]
+    rng = np.random.default_rng(len(a))
+    floats = [rng.standard_normal(len(a)).tolist() for _ in range(7)]
+    for column, value in zip(floats, _EDGE_FLOATS):
+        column[: len(a) // 2] = [value] * (len(a) // 2)
+    winners = [("geometric", "tie", "robertson_schrodinger")[k % 3] for k in range(len(a))]
+    return (a, b), (*floats, winners)
+
+
+class TestPairColumns:
+    """analyze's writer equals json.dumps and csv.writer on the records its columns stand for."""
+
+    NAMES = ["Ŝ_x", 'say "hi"', "back\\slash", "a, b", "two\nlines", "%s%%"]
+
+    @staticmethod
+    def _rows(names, spreads, pairs, columns):
+        a, b = pairs
+        return [[names[i], names[j], spreads[i], spreads[j], *cells] for i, j, *cells in zip(a, b, *columns)]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
+    def test_json(self, count):
+        names, spreads = self.NAMES[:count], [0.5, -0.0, 5e-324, 1e300, 0.1, math.inf][:count]
+        pairs, columns = _pair_columns(count)
+        header = {"dimension": 3, "hbar": 0.75}
+        buf = io.StringIO()
+        _write_pair_columns(buf, "json", header, names, spreads, pairs, columns)
+        rows = self._rows(names, spreads, pairs, columns)
+        reports = [dict(zip(("a", "b") + REPORT_FIELDS, row)) for row in rows]
+        assert buf.getvalue() == json.dumps({**header, "reports": reports}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
+    def test_csv(self, count):
+        names, spreads = self.NAMES[:count], [0.5, -0.0, 5e-324, 1e300, 0.1, math.inf][:count]
+        pairs, columns = _pair_columns(count)
+        buf = io.StringIO()
+        _write_pair_columns(buf, "csv", {"hbar": 1.0}, names, spreads, pairs, columns)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(("a", "b") + REPORT_FIELDS)
+        for row in self._rows(names, spreads, pairs, columns):
+            writer.writerow(row)
+        assert buf.getvalue() == want.getvalue()
+        reports = [dict(zip(("a", "b") + REPORT_FIELDS, row)) for row in self._rows(names, spreads, pairs, columns)]
+        from_dicts = io.StringIO()
+        write_reports_csv(from_dicts, reports, ("a", "b"))
+        assert from_dicts.getvalue() == want.getvalue()
 
 
 STATE = {"dimension": 2, "hbar": 1.0, "matrix": [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}

@@ -10,7 +10,9 @@ thread:
 - ``analyze`` (JSON and CSV) on the analyze-wide inputs of
   ``perfbench/workloads.py`` at seeds 1 and 2, and on a dim-3 state with
   observables whose names need JSON escaping and CSV quoting (non-ASCII,
-  ``"``, ``\\``, a comma, a newline), generated here;
+  ``"``, ``\\``, a comma, a newline), generated here, and on the same kind
+  of state with only the first one and the first two of those names: an
+  empty report list and a single report;
 - ``sweep`` at (dim, rank, samples) (4, 3, 200), (32, 16, 10) and
   (2, 1, 100) (pure states) in JSON, and (6, 6, 100) and (3, 2, 4000) in
   CSV, each at seeds 3-5.  The 4000 samples at dimension 3 fill more than
@@ -67,21 +69,21 @@ def _analyze_files(workdir: str) -> dict[int, object]:
     }
 
 
-def escaped_names_files(workdir: str) -> tuple[str, str]:
-    """A dim-3 state at hbar 0.75 and one observable per name of ESCAPED_NAMES, from numpy's own Generator."""
+def escaped_names_files(workdir: str, names: tuple[str, ...] = ESCAPED_NAMES) -> tuple[str, str]:
+    """A dim-3 state at hbar 0.75 and one observable per name, from numpy's own Generator."""
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(11))
-    shape = (1 + len(ESCAPED_NAMES), 3, 3)
+    shape = (1 + len(names), 3, 3)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     u, _ = np.linalg.qr(g[0])
     rho = (u * [0.5, 0.3, 0.2]) @ u.conj().T
     mats = [0.5 * (rho + rho.conj().T)] + [0.5 * (a + a.conj().T) for a in g[1:]]
     pairs = [np.stack((m.real, m.imag), axis=-1).tolist() for m in mats]
-    paths = (os.path.join(workdir, "escaped_state.json"), os.path.join(workdir, "escaped_observables.json"))
+    paths = tuple(os.path.join(workdir, f"escaped{len(names)}_{kind}.json") for kind in ("state", "observables"))
     docs = (
         {"dimension": 3, "hbar": 0.75, "matrix": pairs[0]},
-        {"observables": [{"name": name, "matrix": m} for name, m in zip(ESCAPED_NAMES, pairs[1:])]},
+        {"observables": [{"name": name, "matrix": m} for name, m in zip(names, pairs[1:])]},
     )
     for path, doc in zip(paths, docs):
         with open(path, "w", encoding="utf-8") as fh:
@@ -93,7 +95,10 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
     """(label, CLI arguments, output kind) of every case, in print order."""
     cases = []
     inputs = [(f"seed {seed}", files.state, files.observables) for seed, files in _analyze_files(workdir).items()]
-    for label, state, observables in inputs + [("escaped names", *escaped_names_files(workdir))]:
+    inputs.append(("escaped names", *escaped_names_files(workdir)))
+    for count, label in ((1, "one observable"), (2, "two observables")):
+        inputs.append((label, *escaped_names_files(workdir, ESCAPED_NAMES[:count])))
+    for label, state, observables in inputs:
         for fmt in ("json", "csv"):
             argv = ["analyze", "--state", state, "--observables", observables]
             cases.append((f"analyze {label} {fmt}", argv + ["--format", fmt], fmt))
