@@ -20,16 +20,7 @@ from io import StringIO
 import numpy as np
 
 from .bundle import DensityOperator, split, standard_lift
-from .io import (
-    SWEEP_FIELDS,
-    StateFileError,
-    _indented_json,
-    _write_pair_columns,
-    load_observables,
-    load_state,
-    report_to_dict,
-    write_reports_csv,
-)
+from .io import REPORT_FIELDS, SWEEP_FIELDS, StateFileError, _write_pair_columns, load_observables, load_state
 from .observables import expected_value, ham_field, spin_half
 from .sampling import _orbit_draws, make_rng, sample_spectrum
 from .uncertainty import RelationViolationError, _analyze_states, _pair_columns, analyze_pair
@@ -142,49 +133,48 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
     named = load_observables(observables_path, rho.dim)
     if len(named) < 2:
         print("warning: fewer than two observables, no pairs to analyze", file=sys.stderr)
-    columns = _pair_columns([obs for _, obs in named], rho, hbar)
+    spreads, (a, b), columns = _pair_columns([obs for _, obs in named], rho, hbar)
+    names = [name for name, _ in named]
+    per_pair = {"a": (names, a), "b": (names, b), "delta_a": (spreads, a), "delta_b": (spreads, b)}
     buf = StringIO()
-    _write_pair_columns(buf, fmt, {"dimension": rho.dim, "hbar": hbar}, [name for name, _ in named], *columns)
+    header = {"dimension": rho.dim, "hbar": hbar}
+    _write_pair_columns(buf, fmt, {**per_pair, **dict(zip(REPORT_FIELDS[2:], columns))}, header, "reports")
     _emit(buf.getvalue(), output)
     return EXIT_OK
 
 
 def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, fmt: str) -> int:
     spectrum, resampled = sample_spectrum(rank, make_rng(seed, 0))
-    records = []
+    report = {field: [] for field in REPORT_FIELDS}
     chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
     for start in range(0, samples, chunk):
-        indices = range(start, min(start + chunk, samples))
-        states, observables = _orbit_draws(spectrum, dim, (make_rng(seed, 1, index) for index in indices))
-        reports = _analyze_states(observables, states, 1.0)
-        for index, (rep,) in zip(indices, reports):
-            records.append(dict(zip(SWEEP_FIELDS, (index, seed, dim, rank)), **report_to_dict(rep)))
+        rngs = (make_rng(seed, 1, index) for index in range(start, min(start + chunk, samples)))
+        states, observables = _orbit_draws(spectrum, dim, rngs)
+        spreads, _, columns = _analyze_states(observables, states, 1.0)
+        # One pair (A, B) per sample: its spreads alternate.
+        for column, values in zip(report.values(), (spreads[::2], spreads[1::2], *columns)):
+            column.extend(values)
 
-    winners = [rec["bound_winner"] for rec in records]
+    winners = report["bound_winner"]
     summary = {
-        "min_slack_geometric": min(rec["slack_geometric"] for rec in records),
-        "min_slack_rs": min(rec["slack_rs"] for rec in records),
+        "min_slack_geometric": min(report["slack_geometric"]),
+        "min_slack_rs": min(report["slack_rs"]),
         "fraction_geometric_wins": winners.count("geometric") / samples,
         "fraction_rs_wins": winners.count("robertson_schrodinger") / samples,
         "fraction_ties": winners.count("tie") / samples,
     }
-
+    header = {
+        "dim": dim,
+        "rank": rank,
+        "samples": samples,
+        "seed": seed,
+        "hbar": 1.0,
+        "spectrum": list(spectrum.eigenvalues),
+        "degenerate_resamples": resampled,
+    }
+    leading = dict(zip(SWEEP_FIELDS, (range(samples), [seed] * samples, [dim] * samples, [rank] * samples)))
     buf = StringIO()
-    if fmt == "json":
-        doc = {
-            "dim": dim,
-            "rank": rank,
-            "samples": samples,
-            "seed": seed,
-            "hbar": 1.0,
-            "spectrum": list(spectrum.eigenvalues),
-            "degenerate_resamples": resampled,
-            "records": records,
-            "summary": summary,
-        }
-        buf.write(_indented_json(doc) + "\n")
-    else:
-        write_reports_csv(buf, records, extra_fields=SWEEP_FIELDS)
+    _write_pair_columns(buf, fmt, {**leading, **report}, header, "records", {"summary": summary})
     _emit(buf.getvalue(), output)
 
     summary_text = (

@@ -4,10 +4,11 @@ Complex numbers are serialized as two-element [re, im] sequences, which is
 unambiguous and language-neutral.  JSON is the canonical format; floats
 pass through Python's shortest round-trip repr, so serialize-then-parse is
 lossless at full double precision.  The JSON writer is json.dumps(obj,
-indent=2) byte for byte; a list of flat records under one key tuple is
-written column by column, each key encoded once into a %-template that
-each record fills.  CSV rows flatten the report fields in the fixed order
-of REPORT_FIELDS.
+indent=2) byte for byte.  The reports of analyze and the records of sweep
+are written straight from their columns: in JSON each key is encoded once
+into a %-template that each record fills, in CSV one writerows call takes
+the rows.  CSV rows flatten the report fields in the fixed order of
+REPORT_FIELDS.
 """
 
 from __future__ import annotations
@@ -170,15 +171,12 @@ def report_from_dict(obj: dict) -> UncertaintyReport:
 _flat_encoder = functools.lru_cache(lambda pad: json.JSONEncoder(separators=("," + pad, ": ")))
 
 
-def _json_column(values) -> tuple[str, list] | None:
+def _json_column(values) -> tuple[str, list]:
     """A column of scalars as a %-conversion and its cells: exact ints, and exact floats that are all finite, as
-    themselves under %r (repr is float.__repr__ on an exact float), any other column as its JSON text under %s.
-    None if the column holds a container."""
+    themselves under %r (repr is float.__repr__ on an exact float), any other column as its JSON text under %s."""
     kinds = {*map(type, values)}
     if kinds <= {int} or kinds == {float} and abs(sum(values)) < np.inf:  # a NaN or an infinity makes the sum one
         return "%r", values
-    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-        return None
     return "%s", [*map(json.encoder.encode_basestring_ascii if kinds == {str} else _flat_encoder("").encode, values)]
 
 
@@ -200,8 +198,7 @@ def _records_json(keys: tuple[str, ...], columns: list[tuple[str, list]], level:
 
 
 def _indented_json(obj: Any, level: int = 0) -> str:
-    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one,
-    and a list of flat dicts with one tuple of str keys goes to _records_json column by column."""
+    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one."""
     pad = "\n" + "  " * (level + 1)
     items = (obj.values() if isinstance(obj, dict) else obj) if isinstance(obj, (dict, list, tuple)) else ()
     if not any(issubclass(kind, (dict, list, tuple)) for kind in {*map(type, items)}):
@@ -210,11 +207,6 @@ def _indented_json(obj: Any, level: int = 0) -> str:
     if isinstance(obj, dict):  # encoding {key: None} converts and escapes the key exactly as json does
         items = [_flat_encoder(pad).encode({key: None})[1:-5] + _indented_json(v, level + 1) for key, v in obj.items()]
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    keys = tuple(obj[0]) if isinstance(obj[0], dict) else ()
-    if keys and {*map(type, keys)} == {str} and all(isinstance(v, dict) and tuple(v) == keys for v in obj):
-        columns = [*map(_json_column, zip(*(v.values() for v in obj)))]
-        if None not in columns:
-            return _records_json(keys, columns, level)
     return "[" + pad + ("," + pad).join([_indented_json(v, level + 1) for v in obj]) + pad[:-2] + "]"
 
 
@@ -229,22 +221,24 @@ def write_reports_csv(fh, reports: list[dict], extra_fields: tuple[str, ...] = (
     writer.writerows([rep[f] for f in fields] for rep in reports)
 
 
-def _write_pair_columns(fh, fmt: str, header: dict, names: list[str], spreads: list[float], pairs, columns) -> None:
-    """analyze's reports in "json" (under ``header``) or "csv", straight from uncertainty._report_columns: each name
-    and spread is formatted once per observable and indexed by the pairs (a, b); no record is built."""
+def _write_pair_columns(fh, fmt: str, columns: dict, header: dict, key: str, trailer: dict | None = None) -> None:
+    """Records in "csv", or in "json" as the list under ``key`` between ``header`` and ``trailer``, straight from
+    one column per record key, as analyze and sweep read them from uncertainty._report_columns; no record is built.
+    A column is its cells, or (values, index) for the cells values[i], i in index: each value is formatted once."""
     encode = _json_column if fmt == "json" else lambda values: ("", values)
-    (name, names), (spread, spreads), *columns = map(encode, (names, spreads, *columns))
-    a, b = pairs
-    per_observable = ((name, names, a), (name, names, b), (spread, spreads, a), (spread, spreads, b))
-    columns = [(kind, [*map(v.__getitem__, i)]) for kind, v, i in per_observable] + columns
-    keys = ("a", "b") + REPORT_FIELDS
-    if fmt == "json":  # the reports go in place of the placeholder, the last value of the document
-        before, _, after = _indented_json({**header, "reports": None}).rpartition("null")
-        fh.write(before + _records_json(keys, columns, 1) + after + "\n")
+    cells = []
+    for column in columns.values():
+        values, index = column if isinstance(column, tuple) else (column, None)
+        kind, values = encode(values)
+        cells.append((kind, values if index is None else [*map(values.__getitem__, index)]))
+    if fmt == "json":  # the records go in place of a null placeholder; the text before it does not depend on the rest
+        before = _indented_json({**header, key: None}).rpartition("null")[0]
+        after = _indented_json({**header, key: None, **(trailer or {})})[len(before) + 4 :]
+        fh.write(before + _records_json(tuple(columns), cells, 1) + after + "\n")
     else:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows(zip(*(cells for _, cells in columns)))
+        writer.writerow(columns)
+        writer.writerows(zip(*(values for _, values in cells)))
 
 
 def read_reports_csv(fh, extra_fields: tuple[str, ...] = ()) -> list[dict]:

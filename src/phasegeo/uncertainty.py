@@ -59,8 +59,9 @@ _VARIANCE_CLAMP = 1e-12
 # implementation fault, never a physical violation.
 _SLACK_TOL = 1e-9
 
-# Bounds within this distance relative to max(product, geo, rs) count as a
-# tie; near-pure states make the two bounds analytically equal.
+# Bounds within this distance relative to max(product, geo, rs, ||A|| ||B||) count as a tie: near-pure states, and
+# an observable that is a multiple of the identity, make the two bounds analytically equal, and rounding must not
+# pick a winner.  The Frobenius scale keeps a tie of two zeros a tie at any units.
 _TIE_TOL = 1e-10
 
 
@@ -185,8 +186,8 @@ def analyze_pairs(
     exceeds the spread product beyond tolerance; that can only mean a
     numerical or implementation fault.
     """
-    z = bracket_matrix(observables, rho, hbar, lift=lift)
-    return _reports(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)[0]
+    spreads, (a, b), columns = _pair_columns(observables, rho, hbar, lift)
+    return [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
 
 
 @lru_cache
@@ -196,32 +197,23 @@ def _pair_index(states: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(a.tolist()), tuple(b.tolist()), _readonly(n * a + b % n)
 
 
-def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
-    """analyze_pairs at the standard lift of each state (S, n, n), with every input rule, per slice."""
+def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> tuple:
+    """The _report_columns of analyze_pairs at the standard lift of each state (S, n, n), with every input rule, per
+    slice: every spectral group's brackets first, in one (S, N, N) array, then one report pass over all pairs."""
     rho, frames = _density_frames(states, stacked=True)
     mats = _hermitian_matrix(observables, "observable", stacked=True)
-    out: list = [None] * len(rho)
+    z = np.empty(mats.shape[:2] + mats.shape[1:2], dtype=np.complex128)
     for rows, multiplicities, p in _spectral_groups(frames.values, RANK_TOL_DEFAULT, DEG_TOL_DEFAULT):
         _check_spectra(p, multiplicities, DEG_TOL_DEFAULT)
         psi = _lift_array(_standard_psi(frames.vectors[rows], p), p, hbar, stacked=True)
-        z = _bracket_kernel(mats[rows], psi, p, multiplicities, hbar)
-        for row, reports in zip(rows, _reports(mats[rows], rho[rows], z, hbar)):
-            out[row] = reports
-    return out
+        z[rows] = _bracket_kernel(mats[rows], psi, p, multiplicities, hbar)
+    return _report_columns(mats, rho, z, hbar)
 
 
-def _pair_columns(observables: Sequence[Observable], rho: DensityOperator, hbar: float) -> tuple:
+def _pair_columns(observables: Sequence[Observable], rho: DensityOperator, hbar: float, lift=None) -> tuple:
     """analyze_pairs as the columns of _report_columns, with no report built."""
-    z = bracket_matrix(observables, rho, hbar)
+    z = bracket_matrix(observables, rho, hbar, lift=lift)
     return _report_columns(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)
-
-
-def _reports(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> list[list[UncertaintyReport]]:
-    """analyze_pairs of each state (S, n, n), observables (S, N, n, n), brackets (S, N, N), from _report_columns."""
-    spreads, (a, b), columns = _report_columns(mats, rho, z, hbar)
-    reports = [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
-    p = len(a) // len(mats)
-    return [reports[k : k + p] for k in range(0, len(reports), p)] if p else [[] for _ in mats]
 
 
 def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> tuple:
@@ -244,14 +236,14 @@ def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: floa
     rs = [*map(math.hypot, cov.real.tolist(), cov.imag.tolist())]
     slack_geo, slack_rs = [*map(sub, product, geo)], [*map(sub, product, rs)]
     top = [*map(max, product, geo, rs)]
-    floors = map(min, repeat(1.0), map(mul, map(norms.__getitem__, a), map(norms.__getitem__, b)))
-    tol = [*map(mul, repeat(-_SLACK_TOL), map(max, top, floors))]
+    scale = [*map(mul, map(norms.__getitem__, a), map(norms.__getitem__, b))]
+    tol = [*map(mul, repeat(-_SLACK_TOL), map(max, top, map(min, repeat(1.0), scale)))]
     if not all(map(ge, slack_geo, tol)) or not all(map(ge, slack_rs, tol)):
         k = next(k for k, t in enumerate(tol) if not slack_geo[k] >= t or not slack_rs[k] >= t)
         bound, value = ("geometric", geo[k]) if not slack_geo[k] >= tol[k] else ("Robertson-Schrodinger", rs[k])
         raise RelationViolationError(f"{bound} bound {value!r} exceeds spread product {product[k]!r}")
     winners = ["tie" if abs(g - r) <= _TIE_TOL * t else "geometric" if g > r else "robertson_schrodinger"
-               for g, r, t in zip(geo, rs, top)]
+               for g, r, t in zip(geo, rs, map(max, top, scale))]
     return spreads, (a, b), (product, riemann, poisson, geo, rs, slack_geo, slack_rs, winners)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -143,16 +144,20 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_reports_go_from_the_columns_to_text(self, files, monkeypatch, capsys, fmt):
-        """analyze builds no UncertaintyReport and calls no report_to_dict."""
+        """analyze and sweep build no UncertaintyReport and call no report_to_dict."""
         calls = []
         real_init = UncertaintyReport.__init__
         monkeypatch.setattr(UncertaintyReport, "__init__", lambda *args: calls.append("report") or real_init(*args))
         real = phasegeo.io.report_to_dict
-        for module in (phasegeo.io, phasegeo.cli):
-            monkeypatch.setattr(module, "report_to_dict", lambda *args: calls.append("dict") or real(*args))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phasegeo") and getattr(module, "report_to_dict", None) is real:
+                monkeypatch.setattr(module, "report_to_dict", lambda *args: calls.append("dict") or real(*args))
         state, obs = files
         assert main(["analyze", "--state", state, "--observables", obs, "--format", fmt]) == 0
         assert capsys.readouterr().out.count("Sx") == 2
+        assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "5", "--seed", "1", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["records"] if fmt == "json" else out.splitlines()[1:]) == 5
         assert calls == []
 
     def test_nan_brackets_exit_3(self, files, monkeypatch, capsys):
@@ -251,6 +256,12 @@ class TestSweep:
             records = read_reports_csv(fh, ("sample_index", "seed", "dimension", "rank"))
         assert [r["sample_index"] for r in records] == list(range(5))
         assert all(r["seed"] == 3 for r in records)
+
+    def test_dimension_one_ties_every_sample(self, capsys):
+        """At dimension 1 both bounds are analytically 0, so every sample is a tie."""
+        assert main(["sweep", "--dim", "1", "--rank", "1", "--samples", "50", "--seed", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"]["fraction_ties"] == 1.0
 
     def test_bad_rank_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -73,6 +73,15 @@ def test_structural_differences_disagree(new):
     assert not ok
 
 
+def test_stderr_must_match_byte_for_byte():
+    old = _analyze(REPORT)
+    old.stderr = "summary: min_slack_geometric=0.5\n"
+    new = copy.copy(old)
+    new.stderr = "summary: min_slack_geometric=0.5000000000000001\n"
+    assert compare_outputs.compare_case(old, copy.copy(old), "json") == ("byte-identical", True)
+    assert compare_outputs.compare_case(old, new, "json") == ("stderr differs", False)
+
+
 def test_one_sided_nan_disagrees():
     _, ok = compare_outputs.compare_case(
         _analyze(REPORT), _analyze(_with(slack_rs=float("nan"))), "json"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from phasegeo import io as pio
 from phasegeo.io import (
     REPORT_FIELDS,
+    SWEEP_FIELDS,
     StateFileError,
     _indented_json,
     _write_pair_columns,
@@ -87,11 +88,10 @@ _COLUMN_KINDS = [
 
 
 @st.composite
-def _records(draw):
-    keys = draw(st.lists(_NAMES, min_size=1, max_size=5))
-    kinds = [draw(st.sampled_from(_COLUMN_KINDS)) for _ in keys]
+def _columns(draw):
+    keys = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
     size = draw(st.integers(0, 6))
-    return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(size)]
+    return {key: draw(st.lists(draw(st.sampled_from(_COLUMN_KINDS)), min_size=size, max_size=size)) for key in keys}
 
 
 def _records_calls(monkeypatch):
@@ -107,15 +107,14 @@ def _records_calls(monkeypatch):
 
 
 class TestRecordFormatter:
-    """Lists of flat records with one key tuple go through the column formatter and still equal json.dumps."""
+    """Records written from their columns equal json.dumps; the plain walk never looks for records."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_records(), st.integers(0, 3))
-    def test_equals_json_dumps_at_every_depth(self, records, depth):
-        obj = records
-        for level in range(depth):
-            obj = {"level": obj} if level % 2 else [obj]
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
+    @given(_columns(), st.integers(0, 3))
+    def test_equals_json_dumps_at_every_depth(self, columns, depth):
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        want = json.dumps(records, indent=2).replace("\n", "\n" + "  " * depth)
+        assert pio._records_json(tuple(columns), [*map(pio._json_column, columns.values())], depth) == want
 
     @pytest.mark.parametrize("count", [1, 2, 7])
     def test_edge_values_take_the_column_formatter(self, monkeypatch, count):
@@ -130,14 +129,19 @@ class TestRecordFormatter:
             "bool": [True, False],
             "none": [None],
         }
-        records = [{key: values[k % len(values)] for key, values in columns.items()} for k in range(count)]
-        doc = {"hbar": 0.5, "reports": records}
-        assert _indented_json(doc) == json.dumps(doc, indent=2)
+        columns = {key: [values[k % len(values)] for k in range(count)] for key, values in columns.items()}
+        buf = io.StringIO()
+        _write_pair_columns(buf, "json", columns, {"hbar": 0.5}, "reports")
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert buf.getvalue() == json.dumps({"hbar": 0.5, "reports": records}, indent=2) + "\n"
         assert calls == [1]
 
     def test_zero_records_and_unshared_keys_keep_the_walk(self, monkeypatch):
+        """Every list takes the plain walk, records that share one key tuple included."""
         calls = _records_calls(monkeypatch)
-        for obj in ([], {"reports": []}, [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": [1]}], [{1: 0.5}, {1: 0.5}], [{}, {}]):
+        shared = [{"a": 0.5, "b": "x", "c": 1}] * 3
+        objects = ([], {"reports": []}, [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": [1]}], [{1: 0.5}, {1: 0.5}], [{}, {}])
+        for obj in objects + (shared, {"hbar": 1.0, "reports": shared, "summary": {"x": [0.25]}}):
             assert _indented_json(obj) == json.dumps(obj, indent=2)
         assert calls == []
 
@@ -154,43 +158,79 @@ def _pair_columns(n):
     return (a, b), (*floats, winners)
 
 
+def _csv_text(fields, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
 class TestPairColumns:
-    """analyze's writer equals json.dumps and csv.writer on the records its columns stand for."""
+    """The writer of analyze and sweep equals json.dumps and csv.writer on the records its columns stand for."""
 
     NAMES = ["Ŝ_x", 'say "hi"', "back\\slash", "a, b", "two\nlines", "%s%%"]
+    SPREADS = [0.5, -0.0, 5e-324, 1e300, 0.1, math.inf]
+    KEYS = ("a", "b") + REPORT_FIELDS
+
+    def _analyze(self, count):
+        """analyze's columns (names and spreads indexed by the pairs) and the rows they stand for."""
+        names, spreads = self.NAMES[:count], self.SPREADS[:count]
+        (a, b), columns = _pair_columns(count)
+        indexed = {"a": (names, a), "b": (names, b), "delta_a": (spreads, a), "delta_b": (spreads, b)}
+        rows = [[names[i], names[j], spreads[i], spreads[j], *cells] for i, j, *cells in zip(a, b, *columns)]
+        return {**indexed, **dict(zip(REPORT_FIELDS[2:], columns))}, rows
 
     @staticmethod
-    def _rows(names, spreads, pairs, columns):
-        a, b = pairs
-        return [[names[i], names[j], spreads[i], spreads[j], *cells] for i, j, *cells in zip(a, b, *columns)]
+    def _sweep(samples):
+        """sweep's columns (int leading columns, then one plain list per report field) and the rows they stand for."""
+        _, columns = _pair_columns(samples + 1)
+        spreads = TestPairColumns.SPREADS * samples
+        columns = [spreads[:samples], spreads[1 : samples + 1], *(column[:samples] for column in columns)]
+        leading = (range(samples), [7] * samples, [4] * samples, [3] * samples)
+        return dict(zip(SWEEP_FIELDS + REPORT_FIELDS, (*leading, *columns))), [*zip(*leading, *columns)]
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
     def test_json(self, count):
-        names, spreads = self.NAMES[:count], [0.5, -0.0, 5e-324, 1e300, 0.1, math.inf][:count]
-        pairs, columns = _pair_columns(count)
+        columns, rows = self._analyze(count)
         header = {"dimension": 3, "hbar": 0.75}
         buf = io.StringIO()
-        _write_pair_columns(buf, "json", header, names, spreads, pairs, columns)
-        rows = self._rows(names, spreads, pairs, columns)
-        reports = [dict(zip(("a", "b") + REPORT_FIELDS, row)) for row in rows]
+        _write_pair_columns(buf, "json", columns, header, "reports")
+        reports = [dict(zip(self.KEYS, row)) for row in rows]
         assert buf.getvalue() == json.dumps({**header, "reports": reports}, indent=2) + "\n"
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
     def test_csv(self, count):
-        names, spreads = self.NAMES[:count], [0.5, -0.0, 5e-324, 1e300, 0.1, math.inf][:count]
-        pairs, columns = _pair_columns(count)
+        columns, rows = self._analyze(count)
         buf = io.StringIO()
-        _write_pair_columns(buf, "csv", {"hbar": 1.0}, names, spreads, pairs, columns)
-        want = io.StringIO()
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(("a", "b") + REPORT_FIELDS)
-        for row in self._rows(names, spreads, pairs, columns):
-            writer.writerow(row)
-        assert buf.getvalue() == want.getvalue()
-        reports = [dict(zip(("a", "b") + REPORT_FIELDS, row)) for row in self._rows(names, spreads, pairs, columns)]
+        _write_pair_columns(buf, "csv", columns, {"hbar": 1.0}, "reports")
+        want = _csv_text(self.KEYS, rows)
+        assert buf.getvalue() == want
         from_dicts = io.StringIO()
-        write_reports_csv(from_dicts, reports, ("a", "b"))
-        assert from_dicts.getvalue() == want.getvalue()
+        write_reports_csv(from_dicts, [dict(zip(self.KEYS, row)) for row in rows], ("a", "b"))
+        assert from_dicts.getvalue() == want
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_sweep_json(self, samples):
+        columns, rows = self._sweep(samples)
+        header = {"dim": 4, "rank": 3, "samples": samples, "spectrum": [0.5, 0.3, 0.2], "degenerate_resamples": 0}
+        summary = {"min_slack_geometric": -0.0, "fraction_ties": 0.25}
+        buf = io.StringIO()
+        _write_pair_columns(buf, "json", columns, header, "records", {"summary": summary})
+        records = [dict(zip(SWEEP_FIELDS + REPORT_FIELDS, row)) for row in rows]
+        assert buf.getvalue() == json.dumps({**header, "records": records, "summary": summary}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_sweep_csv(self, samples):
+        columns, rows = self._sweep(samples)
+        buf = io.StringIO()
+        _write_pair_columns(buf, "csv", columns, {"dim": 4}, "records", {"summary": {}})
+        want = _csv_text(SWEEP_FIELDS + REPORT_FIELDS, rows)
+        assert buf.getvalue() == want
+        from_dicts = io.StringIO()
+        write_reports_csv(from_dicts, [dict(zip(SWEEP_FIELDS + REPORT_FIELDS, row)) for row in rows], SWEEP_FIELDS)
+        assert from_dicts.getvalue() == want
 
 
 STATE = {"dimension": 2, "hbar": 1.0, "matrix": [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}

@@ -5,13 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from phasegeo import cli
+from phasegeo import cli, uncertainty
 from phasegeo.bundle import DensityOperator, _density_frames, _spectral_groups
 from phasegeo.io import report_to_dict, write_reports_csv
 from phasegeo.linalg import hermitian_eig
 from phasegeo.observables import Observable
 from phasegeo.sampling import make_rng, sample_density, sample_hermitian, sample_spectrum, sample_unitary
-from phasegeo.uncertainty import _analyze_states, analyze_pair, analyze_pairs
+from phasegeo.uncertainty import RelationViolationError, UncertaintyReport, _analyze_states, analyze_pair, analyze_pairs
 
 
 def _sweep(capsys, dim, rank, samples, seed, fmt):
@@ -71,10 +71,12 @@ def test_stack_mixing_block_structures_matches_per_state_reports():
     groups = _spectral_groups(frames.values, 1e-12, 1e-8)
     assert sorted(m for _, m, _ in groups) == [(1,), (1, 1, 1), (2,), (2, 1)]
     for hbar in (1.0, 0.7):
-        stacked = _analyze_states(observables, states, hbar)
-        for s, reports in enumerate(stacked):
-            assert len(reports) == 3
-            assert reports == analyze_pairs([Observable(m) for m in observables[s]], DensityOperator(states[s]), hbar)
+        spreads, (a, b), columns = _analyze_states(observables, states, hbar)
+        stacked = [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
+        assert len(stacked) == 3 * len(states)
+        for s, state in enumerate(states):
+            reports = analyze_pairs([Observable(m) for m in observables[s]], DensityOperator(state), hbar)
+            assert stacked[3 * s : 3 * s + 3] == reports
 
 
 @pytest.mark.parametrize(
@@ -100,6 +102,28 @@ def test_a_failing_slice_raises_what_the_single_state_raises(state, observable):
     with pytest.raises(ValueError) as got:
         _analyze_states(observables, states, 1.0)
     assert str(got.value) == str(expected.value)
+
+
+def test_every_structure_passes_its_rules_before_the_report_pass(monkeypatch):
+    """A bound fault of the first structure does not hide a spectrum fault of a later one."""
+    states, observables = _mixed_stack()
+    kernel, check = uncertainty._bracket_kernel, uncertainty._check_spectra
+
+    def nan_kernel(mats, psi, p, multiplicities, hbar):
+        z = kernel(mats, psi, p, multiplicities, hbar)
+        return np.full_like(z, np.nan) if multiplicities == (2,) else z
+
+    def failing_check(p, multiplicities, deg_tol):
+        if multiplicities == (1, 1, 1):
+            raise ValueError("spectrum fault")
+        check(p, multiplicities, deg_tol)
+
+    monkeypatch.setattr(uncertainty, "_bracket_kernel", nan_kernel)
+    with pytest.raises(RelationViolationError, match="geometric bound nan"):
+        _analyze_states(observables, states, 1.0)
+    monkeypatch.setattr(uncertainty, "_check_spectra", failing_check)
+    with pytest.raises(ValueError, match="spectrum fault"):
+        _analyze_states(observables, states, 1.0)
 
 
 def test_stacked_eigendecomposition_matches_each_matrix():

@@ -214,6 +214,18 @@ class TestTieRuleScale:
                 assert scaled.bound_winner == base.bound_winner
 
 
+class TestTieOfTwoZeros:
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    def test_multiple_of_the_identity_always_ties(self, scale):
+        """B = c 1 makes both bounds analytically 0: rounding noise picks no winner, at any units."""
+        rng = make_rng(61)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            rho, a, _ = _random_case(dim, rng)
+            b = Observable(scale * float(rng.standard_normal()) * np.eye(dim, dtype=complex))
+            assert analyze_pair(Observable(scale * a.matrix), b, rho).bound_winner == "tie"
+
+
 class TestNanGuards:
     """A NaN must fail the fault guards instead of slipping through them."""
 
@@ -378,7 +390,7 @@ class TestGuardsNameTheFirstFailingPair:
 
 
 def _scalar_reports(mats, rho, z, hbar):
-    """The pair-by-pair loop that uncertainty._reports replaced, kept as its reference."""
+    """The pair-by-pair loop that uncertainty._report_columns replaced, kept as its reference."""
     from itertools import combinations
 
     from phasegeo.observables import _real_trace
@@ -403,7 +415,7 @@ def _scalar_reports(mats, rho, z, hbar):
             scale = max(product, geo, rs, min(1.0, norms_s[i] * norms_s[j]))
             assert product - geo >= -_SLACK_TOL * scale and product - rs >= -_SLACK_TOL * scale
             winner = "geometric" if geo > rs else "robertson_schrodinger"
-            if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs):
+            if abs(geo - rs) <= _TIE_TOL * max(product, geo, rs, norms_s[i] * norms_s[j]):
                 winner = "tie"
             fields = (spreads[i], spreads[j], product, bracket.real, bracket.imag, geo, rs, product - geo, product - rs)
             out[-1].append(UncertaintyReport(*fields, winner))
@@ -424,6 +436,7 @@ def test_columnar_reports_equal_the_scalar_loop_bit_for_bit(states, count, dim, 
     mats = np.array([[a.matrix for a in row] for row in observables]).reshape(states, count, dim, dim)
     rho = np.array([r.matrix for r in rhos])
     z = np.array([uncertainty.bracket_matrix(row, r, 0.8) for row, r in zip(observables, rhos)])
-    got = uncertainty._reports(mats, rho, z.reshape(states, count, count), 0.8)
+    spreads, (a, b), columns = uncertainty._report_columns(mats, rho, z.reshape(states, count, count), 0.8)
+    got = [*zip(map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
     want = _scalar_reports(mats, rho, z.reshape(states, count, count), 0.8)
-    assert [[repr(astuple(r)) for r in row] for row in got] == [[repr(astuple(r)) for r in row] for row in want]
+    assert [*map(repr, got)] == [repr(astuple(r)) for row in want for r in row]

@@ -15,8 +15,9 @@ thread:
   empty report list and a single report;
 - ``sweep`` at (dim, rank, samples) (4, 3, 200), (32, 16, 10) and
   (2, 1, 100) (pure states) in JSON, and (6, 6, 100) and (3, 2, 4000) in
-  CSV, each at seeds 3-5.  The 4000 samples at dimension 3 fill more than
-  two chunks of the batched sweep (``phasegeo.cli._CHUNK_ENTRIES``);
+  CSV, and a single sample at (4, 3) in both, each at seeds 3-5.  The 4000
+  samples at dimension 3 fill more than two chunks of the batched sweep
+  (``phasegeo.cli._CHUNK_ENTRIES``);
 - ``verify`` at (dim, samples, seed) (2, 40, 7), (4, 8, 1), (6, 8, 3)
   and (2, 1, 12);
 - ``demo spin`` with ``--p1 0.75``, ``--p1 0.5 --hbar 2`` and
@@ -28,6 +29,7 @@ largest drift relative to the largest float field of its record (verify:
 each check whose residual changed).  It exits 1 when a drift exceeds
 1e-15, when record counts, keys, non-float values (names, indices,
 ``bound_winner``) or verify PASS/FAIL lines differ, when a demo's text
+or the stderr of any case (the sweep summary line, the analyze warning)
 differs at all, or when either tree exits nonzero.
 """
 
@@ -48,7 +50,15 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # still counts as agreement.
 DRIFT_TOL = 1e-15
 
-SWEEPS = ((4, 3, 200, "json"), (32, 16, 10, "json"), (2, 1, 100, "json"), (6, 6, 100, "csv"), (3, 2, 4000, "csv"))
+SWEEPS = (
+    (4, 3, 200, "json"),
+    (32, 16, 10, "json"),
+    (2, 1, 100, "json"),
+    (6, 6, 100, "csv"),
+    (3, 2, 4000, "csv"),
+    (4, 3, 1, "json"),
+    (4, 3, 1, "csv"),
+)
 SWEEP_SEEDS = (3, 4, 5)
 VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12))
 ANALYZE_SEEDS = (1, 2)
@@ -195,6 +205,8 @@ def compare_case(old: subprocess.CompletedProcess, new: subprocess.CompletedProc
     """One summary line for a case and whether the two trees agree."""
     if old.returncode or new.returncode:
         return f"exit status {old.returncode} vs {new.returncode}", False
+    if old.stderr != new.stderr:
+        return "stderr differs", False
     if old.stdout == new.stdout:
         return "byte-identical", True
     if kind == "demo":
