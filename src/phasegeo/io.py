@@ -3,12 +3,12 @@
 Complex numbers are serialized as two-element [re, im] sequences, which is
 unambiguous and language-neutral.  JSON is the canonical format; floats
 pass through Python's shortest round-trip repr, so serialize-then-parse is
-lossless at full double precision.  The JSON writer is json.dumps(obj,
+lossless at full double precision.  Every JSON document is json.dumps(obj,
 indent=2) byte for byte.  The reports of analyze and the records of sweep
 are written straight from their columns: in JSON each key is encoded once
-into a %-template that each record fills, in CSV one writerows call takes
-the rows.  CSV rows flatten the report fields in the fixed order of
-REPORT_FIELDS.
+into a %-template that each record fills, and json.dumps writes the rest;
+in CSV one writerows call takes the rows.  CSV rows flatten the report
+fields in the fixed order of REPORT_FIELDS.
 """
 
 from __future__ import annotations
@@ -167,17 +167,14 @@ def report_from_dict(obj: dict) -> UncertaintyReport:
     return UncertaintyReport(**{key: obj[key] for key in REPORT_FIELDS})
 
 
-# The C encoder, with the indented layout's item separator at one nesting depth.
-_flat_encoder = functools.lru_cache(lambda pad: json.JSONEncoder(separators=("," + pad, ": ")))
-
-
 def _json_column(values) -> tuple[str, list]:
     """A column of scalars as a %-conversion and its cells: exact ints, and exact floats that are all finite, as
-    themselves under %r (repr is float.__repr__ on an exact float), any other column as its JSON text under %s."""
+    themselves under %r (repr is float.__repr__ on an exact float); a str column as json escapes it, any other (a NaN
+    or an infinity, numpy floats, bools, mixed kinds) as json.dumps of each value, under %s."""
     kinds = {*map(type, values)}
     if kinds <= {int} or kinds == {float} and abs(sum(values)) < np.inf:  # a NaN or an infinity makes the sum one
         return "%r", values
-    return "%s", [*map(json.encoder.encode_basestring_ascii if kinds == {str} else _flat_encoder("").encode, values)]
+    return "%s", [*map(json.encoder.encode_basestring_ascii if kinds == {str} else json.dumps, values)]
 
 
 @functools.lru_cache
@@ -197,21 +194,8 @@ def _records_json(keys: tuple[str, ...], columns: list[tuple[str, list]], level:
     return "[" + pad + ("," + pad).join(records) + pad[:-2] + "]" if records else "[]"
 
 
-def _indented_json(obj: Any, level: int = 0) -> str:
-    """json.dumps(obj, indent=2): Python walks the nested containers, one C-encoder call writes each flat one."""
-    pad = "\n" + "  " * (level + 1)
-    items = (obj.values() if isinstance(obj, dict) else obj) if isinstance(obj, (dict, list, tuple)) else ()
-    if not any(issubclass(kind, (dict, list, tuple)) for kind in {*map(type, items)}):
-        text = _flat_encoder(pad).encode(obj)
-        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if items else text
-    if isinstance(obj, dict):  # encoding {key: None} converts and escapes the key exactly as json does
-        items = [_flat_encoder(pad).encode({key: None})[1:-5] + _indented_json(v, level + 1) for key, v in obj.items()]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    return "[" + pad + ("," + pad).join([_indented_json(v, level + 1) for v in obj]) + pad[:-2] + "]"
-
-
 def write_reports_json(fh, reports: list[dict], header: dict | None = None) -> None:
-    fh.write(_indented_json({**(header or {}), "reports": reports}) + "\n")
+    fh.write(json.dumps({**(header or {}), "reports": reports}, indent=2) + "\n")
 
 
 def write_reports_csv(fh, reports: list[dict], extra_fields: tuple[str, ...] = ()) -> None:
@@ -232,8 +216,8 @@ def _write_pair_columns(fh, fmt: str, columns: dict, header: dict, key: str, tra
         kind, values = encode(values)
         cells.append((kind, values if index is None else [*map(values.__getitem__, index)]))
     if fmt == "json":  # the records go in place of a null placeholder; the text before it does not depend on the rest
-        before = _indented_json({**header, key: None}).rpartition("null")[0]
-        after = _indented_json({**header, key: None, **(trailer or {})})[len(before) + 4 :]
+        before = json.dumps({**header, key: None}, indent=2).rpartition("null")[0]
+        after = json.dumps({**header, key: None, **(trailer or {})}, indent=2)[len(before) + 4 :]
         fh.write(before + _records_json(tuple(columns), cells, 1) + after + "\n")
     else:
         writer = csv.writer(fh, lineterminator="\n")

@@ -49,8 +49,8 @@ __all__ = [
     "variance_bound_check",
 ]
 
-# The guards below are written "not x >= -tol" so that a NaN fails them.  Each is relative, floored
-# at min(1, the observables' Frobenius scale): it scales with their units, never looser than a floor of 1.
+# The guards below are written "not x >= -tol" so that a NaN fails them.  Each is relative, floored at min(1, the
+# observables' Frobenius scale): it scales with their units.  The bound guards add a rounding term, _ROUNDING_TOL.
 
 # Negative variance beyond this is a fault, within it is floating noise.
 _VARIANCE_CLAMP = 1e-12
@@ -58,6 +58,10 @@ _VARIANCE_CLAMP = 1e-12
 # Slack this negative on either bound signals a numerical or
 # implementation fault, never a physical violation.
 _SLACK_TOL = 1e-9
+
+# The brackets and Sigma round by about eps * ||A|| ||B||, which outgrows the floor min(1, ||A|| ||B||) at large
+# units: the bound guards also accept a slack of -_ROUNDING_TOL * ||A|| ||B||, about 450 eps.
+_ROUNDING_TOL = 1e-13
 
 # Bounds within this distance relative to max(product, geo, rs, ||A|| ||B||) count as a tie: near-pure states, and
 # an observable that is a multiple of the identity, make the two bounds analytically equal, and rounding must not
@@ -237,7 +241,7 @@ def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: floa
     slack_geo, slack_rs = [*map(sub, product, geo)], [*map(sub, product, rs)]
     top = [*map(max, product, geo, rs)]
     scale = [*map(mul, map(norms.__getitem__, a), map(norms.__getitem__, b))]
-    tol = [*map(mul, repeat(-_SLACK_TOL), map(max, top, map(min, repeat(1.0), scale)))]
+    tol = [-_SLACK_TOL * max(t, min(1.0, s)) - _ROUNDING_TOL * s for t, s in zip(top, scale)]
     if not all(map(ge, slack_geo, tol)) or not all(map(ge, slack_rs, tol)):
         k = next(k for k, t in enumerate(tol) if not slack_geo[k] >= t or not slack_rs[k] >= t)
         bound, value = ("geometric", geo[k]) if not slack_geo[k] >= tol[k] else ("Robertson-Schrodinger", rs[k])

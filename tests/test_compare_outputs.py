@@ -82,6 +82,18 @@ def test_stderr_must_match_byte_for_byte():
     assert compare_outputs.compare_case(old, new, "json") == ("stderr differs", False)
 
 
+def test_output_file_and_stdout_must_match_byte_for_byte():
+    old = _proc("summary: min_slack_geometric=0.5\n")
+    old.written = _analyze(REPORT).stdout
+    assert compare_outputs.compare_case(old, copy.copy(old), "file") == ("byte-identical", True)
+    new = copy.copy(old)
+    new.written = old.written.replace("0.464217057461701", "0.4642170574617011")
+    assert compare_outputs.compare_case(old, new, "file") == ("written file differs", False)
+    new = copy.copy(old)
+    new.stdout = "summary: min_slack_geometric=0.5000000000000001\n"
+    assert compare_outputs.compare_case(old, new, "file") == ("text differs", False)
+
+
 def test_one_sided_nan_disagrees():
     _, ok = compare_outputs.compare_case(
         _analyze(REPORT), _analyze(_with(slack_rs=float("nan"))), "json"

@@ -1,5 +1,5 @@
-"""The indented-JSON writer equals json.dumps(obj, indent=2), the column formatter equals json and csv record by record,
-and the one-pass matrix parser keeps every rule and message."""
+"""The column formatter equals json.dumps(obj, indent=2) and csv record by record, write_reports_json is json.dumps
+alone, and the one-pass matrix parser keeps every rule and message."""
 
 import csv
 import io
@@ -17,11 +17,11 @@ from phasegeo.io import (
     REPORT_FIELDS,
     SWEEP_FIELDS,
     StateFileError,
-    _indented_json,
     _write_pair_columns,
     parse_observables,
     parse_state,
     write_reports_csv,
+    write_reports_json,
 )
 
 # Text that needs escaping, or that looks like the writer's own separators.
@@ -45,30 +45,6 @@ def _containers(children, min_size=0):
 
 
 _TREES = st.recursive(_SCALARS, _containers, max_leaves=30)
-# Three non-empty levels on top of a random tree, which holds empty containers of its own.
-_DEEP_TREES = _containers(_containers(_containers(_TREES, 1), 1), 1)
-
-
-class TestIndentedJson:
-    @settings(max_examples=100, deadline=None)
-    @given(_DEEP_TREES)
-    def test_equals_json_dumps_byte_for_byte(self, tree):
-        assert _indented_json(tree) == json.dumps(tree, indent=2)
-
-    @pytest.mark.parametrize(
-        "obj",
-        [{}, [], (), 1.5, "x", None, [{}], {"a": []}, {"a": (1, {"b": ()})}, {"}": {"\n": [", "]}}],
-        ids=repr,
-    )
-    def test_empty_and_scalar_edges(self, obj):
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
-
-    def test_container_subclasses_are_walked(self):
-        from collections import OrderedDict, namedtuple
-
-        pair = namedtuple("pair", "x y")
-        obj = {"a": OrderedDict(b=[1, pair(2.5, [3])])}
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
 
 
 # Record keys and names that need escaping, or that look like the formatter's own template.
@@ -107,7 +83,7 @@ def _records_calls(monkeypatch):
 
 
 class TestRecordFormatter:
-    """Records written from their columns equal json.dumps; the plain walk never looks for records."""
+    """Records written from their columns equal json.dumps; write_reports_json never takes the record template."""
 
     @settings(max_examples=200, deadline=None)
     @given(_columns(), st.integers(0, 3))
@@ -136,13 +112,18 @@ class TestRecordFormatter:
         assert buf.getvalue() == json.dumps({"hbar": 0.5, "reports": records}, indent=2) + "\n"
         assert calls == [1]
 
-    def test_zero_records_and_unshared_keys_keep_the_walk(self, monkeypatch):
-        """Every list takes the plain walk, records that share one key tuple included."""
+    def test_zero_records_and_unshared_keys_take_json_dumps(self, monkeypatch):
+        """write_reports_json is json.dumps of its document, records that share one key tuple included."""
         calls = _records_calls(monkeypatch)
         shared = [{"a": 0.5, "b": "x", "c": 1}] * 3
         objects = ([], {"reports": []}, [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": [1]}], [{1: 0.5}, {1: 0.5}], [{}, {}])
         for obj in objects + (shared, {"hbar": 1.0, "reports": shared, "summary": {"x": [0.25]}}):
-            assert _indented_json(obj) == json.dumps(obj, indent=2)
+            buf = io.StringIO()
+            write_reports_json(buf, obj)
+            assert buf.getvalue() == json.dumps({"reports": obj}, indent=2) + "\n"
+        buf = io.StringIO()
+        write_reports_json(buf, shared, {"hbar": 1.0})
+        assert buf.getvalue() == json.dumps({"hbar": 1.0, "reports": shared}, indent=2) + "\n"
         assert calls == []
 
 
@@ -231,6 +212,44 @@ class TestPairColumns:
         from_dicts = io.StringIO()
         write_reports_csv(from_dicts, [dict(zip(SWEEP_FIELDS + REPORT_FIELDS, row)) for row in rows], SWEEP_FIELDS)
         assert from_dicts.getvalue() == want
+
+
+class TestFraming:
+    """The text around the records is json.dumps's, whatever header and trailer frame them."""
+
+    @staticmethod
+    def _framed(header, trailer, count):
+        values = [0.5, -1.0, 3][:count]
+        buf = io.StringIO()
+        _write_pair_columns(buf, "json", {"a": values}, header, "reports", trailer)
+        want = json.dumps({**header, "reports": [{"a": v} for v in values], **(trailer or {})}, indent=2) + "\n"
+        return buf.getvalue(), want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_KEYS, _TREES, max_size=6).filter(lambda d: "reports" not in d), st.data())
+    def test_equals_json_dumps_byte_for_byte(self, fields, data):
+        """One dict split in two, so that header and trailer never share a key (True == 1 == 1.0 included)."""
+        split = data.draw(st.integers(0, len(fields)))
+        header, trailer = dict([*fields.items()][:split]), dict([*fields.items()][split:])
+        got, want = self._framed(header, trailer or data.draw(st.sampled_from([None, {}])), data.draw(st.integers(0, 3)))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "header, trailer",
+        [
+            ({}, None),
+            ({"x": None}, None),
+            ({"n": "null"}, {"s": "null", "t": None}),
+            ({"a": []}, {"b": {}, "c": ()}),
+            ({"}": {"\n": [", "]}}, {"]": [[None]]}),
+            ({1: 1.5, None: "x", math.inf: -0.0}, {False: [{}], "nan": math.nan}),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_empty_and_null_edges(self, header, trailer, count):
+        got, want = self._framed(header, trailer, count)
+        assert got == want
 
 
 STATE = {"dimension": 2, "hbar": 1.0, "matrix": [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}

@@ -272,7 +272,7 @@ def _analyze_wide_inputs():
 class TestGuardsScaleWithUnits:
     """The fault guards are relative to the observables' scale, below 1 as above it."""
 
-    SCALES = (1e-5, 1.0, 1e5)
+    SCALES = (1e-5, 1.0, 1e5, 1e8)
 
     @staticmethod
     def _scaled_triple(scale):
@@ -316,6 +316,40 @@ class TestGuardsScaleWithUnits:
         rho, observables, hbar = _analyze_wide_inputs()
         reports = uncertainty.analyze_pairs([Observable(scale * obs.matrix) for obs in observables], rho, hbar)
         assert len(reports) == len(observables) * (len(observables) - 1) // 2
+
+
+class TestNoFalseFaultAtLargeUnits:
+    """B = c 1 makes the product and both bounds analytically 0, and their rounding grows like c ||A|| ||1||: the
+    bound guards take it as rounding at any units, not as a fault."""
+
+    @staticmethod
+    def _draws():
+        rng = make_rng(3)
+        for _ in range(50):
+            dim = int(rng.integers(2, 6))
+            spectrum, _ = sample_spectrum(int(rng.integers(1, dim + 1)), rng)
+            yield sample_density(spectrum, dim, rng), sample_hermitian(dim, rng)
+
+    @pytest.mark.parametrize("c", [1e5, 1e8])
+    def test_analyze_pair_raises_nothing(self, c):
+        for rho, a in self._draws():
+            report = analyze_pair(Observable(c * a.matrix), Observable(c * np.eye(rho.dim)), rho)
+            assert report.bound_winner == "tie"
+
+    def test_analyze_exits_0(self, tmp_path, capsys):
+        import json
+
+        from phasegeo.cli import main
+        from phasegeo.io import state_to_dict
+
+        rho, a = next(self._draws())
+        mats = {"cA": 1e5 * a.matrix, "c1": 1e5 * np.eye(rho.dim)}
+        observables = [{"name": k, "matrix": np.stack((m.real, m.imag), axis=-1).tolist()} for k, m in mats.items()]
+        state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+        state.write_text(json.dumps(state_to_dict(rho)))
+        obs.write_text(json.dumps({"observables": observables}))
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["bound_winner"] == "tie"
 
 
 class TestGuardsNameTheFirstFailingPair:

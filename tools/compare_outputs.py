@@ -22,7 +22,10 @@ thread:
   and (2, 1, 12);
 - ``demo spin`` with ``--p1 0.75``, ``--p1 0.5 --hbar 2`` and
   ``--p1 0.999``.  Its text prints the standard lift, so these cases
-  compare byte for byte.
+  compare byte for byte;
+- ``--output FILE``: ``sweep`` at (4, 3, 200), seed 3, in JSON, and
+  ``analyze`` on the escaped-names inputs in CSV.  The written file and
+  stdout (for ``sweep``, the summary line) compare byte for byte.
 
 For each case it prints ``byte-identical``, or each drifting field's
 largest drift relative to the largest float field of its record (verify:
@@ -30,7 +33,8 @@ each check whose residual changed).  It exits 1 when a drift exceeds
 1e-15, when record counts, keys, non-float values (names, indices,
 ``bound_winner``) or verify PASS/FAIL lines differ, when a demo's text
 or the stderr of any case (the sweep summary line, the analyze warning)
-differs at all, or when either tree exits nonzero.
+differs at all, when an ``--output`` case's file or stdout differs at
+all, or when either tree exits nonzero.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,7 +110,8 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
     """(label, CLI arguments, output kind) of every case, in print order."""
     cases = []
     inputs = [(f"seed {seed}", files.state, files.observables) for seed, files in _analyze_files(workdir).items()]
-    inputs.append(("escaped names", *escaped_names_files(workdir)))
+    escaped = escaped_names_files(workdir)
+    inputs.append(("escaped names", *escaped))
     for count, label in ((1, "one observable"), (2, "two observables")):
         inputs.append((label, *escaped_names_files(workdir, ESCAPED_NAMES[:count])))
     for label, state, observables in inputs:
@@ -122,12 +128,17 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
         cases.append((f"verify ({dim},{samples},{seed})", argv, "verify"))
     for args in DEMOS:
         cases.append((f"demo spin {' '.join(args)}", ["demo", "spin", *args], "demo"))
+    sweep = ["sweep", "--dim", "4", "--rank", "3", "--samples", "200", "--seed", "3", "--format", "json"]
+    cases.append(("sweep (4,3)x200 seed 3 json --output", sweep + ["--output", "sweep.json"], "file"))
+    analyze = ["analyze", "--state", escaped[0], "--observables", escaped[1], "--format", "csv"]
+    cases.append(("analyze escaped names csv --output", analyze + ["--output", "analyze.csv"], "file"))
     return cases
 
 
 def _run(src: str, argv: list[str], workdir: str) -> subprocess.CompletedProcess:
+    """One CLI run; with ``--output``, the text it wrote is kept as ``written`` and the file removed."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "phasegeo.cli", *argv],
         cwd=workdir,
         env=env,
@@ -135,6 +146,11 @@ def _run(src: str, argv: list[str], workdir: str) -> subprocess.CompletedProcess
         text=True,
         check=False,
     )
+    if "--output" in argv:  # a run that fails may write no file
+        path = Path(workdir, argv[argv.index("--output") + 1])
+        proc.written = path.read_text(encoding="utf-8") if path.exists() else None
+        path.unlink(missing_ok=True)
+    return proc
 
 
 def _flatten(obj, prefix: str = "") -> dict:
@@ -207,9 +223,11 @@ def compare_case(old: subprocess.CompletedProcess, new: subprocess.CompletedProc
         return f"exit status {old.returncode} vs {new.returncode}", False
     if old.stderr != new.stderr:
         return "stderr differs", False
+    if kind == "file" and old.written != new.written:
+        return "written file differs", False
     if old.stdout == new.stdout:
         return "byte-identical", True
-    if kind == "demo":
+    if kind in ("demo", "file"):
         return "text differs", False
     if kind == "verify":
         notes, errors = _compare_verify(old.stdout, new.stdout)
