@@ -35,9 +35,11 @@ from .linalg import (
     _check_positive,
     _complex_array,
     _dagger,
+    _eig,
     _hermitian_matrix,
     _hermitize,
     _readonly,
+    _unchecked,
     as_complex_matrix,
     hermitian_eig,
     metric_g,
@@ -187,13 +189,17 @@ class DensityOperator:
 def _density_frames(m, stacked: bool = False) -> tuple[np.ndarray, EigenDecomposition]:
     """The DensityOperator rules on one matrix or each slice of a stack: the array and its eigendecomposition."""
     a = _complex_array(m, "density matrix", stacked)
-    eig = hermitian_eig(a)
+    return a, _density_frame(a, hermitian_eig(a))
+
+
+def _density_frame(a: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:
+    """The trace and PSD rules of a density matrix or stack ``a`` with eigendecomposition ``eig``; returns ``eig``."""
     tr = a.trace(axis1=-2, axis2=-1)
     if np.count_nonzero(bad := np.abs(tr - 1.0) > _TRACE_TOL):
         raise ValueError(f"density matrix trace must be 1, got {np.ravel(tr)[bad.argmax()]!r}")
     if np.count_nonzero(bad := eig.values[..., -1] < -_PSD_TOL):
         raise ValueError(f"density matrix has negative eigenvalue {np.ravel(eig.values[..., -1])[bad.argmax()]!r}")
-    return a, eig
+    return eig
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,8 @@ def standard_lift(
 
 def project(psi: Lift) -> DensityOperator:
     """Bundle map: send a lift Psi to the density operator Psi Psi†."""
-    return DensityOperator(_hermitize(psi.psi @ _dagger(psi.psi)))
+    a = _hermitize(psi.psi @ _dagger(psi.psi))  # finite and exactly Hermitian: only the trace and PSD rules can fail
+    return _unchecked(DensityOperator, _readonly(a), _density_frame(a, _eig(a)))
 
 
 def gauge_transform(psi: Lift, u) -> Lift:
@@ -340,14 +347,6 @@ def gauge_transform(psi: Lift, u) -> Lift:
     return Lift(psi.psi @ um, psi.spectrum, psi.hbar)
 
 
-def _tangency_residual(psi: Lift, x: np.ndarray, m: np.ndarray) -> float:
-    """Scale-free size of Psi†X + X†Psi, which vanishes for tangent X."""
-    norms = np.linalg.norm(psi.psi) * np.linalg.norm(x)
-    if norms == 0.0:
-        return 0.0
-    return float(np.linalg.norm(m + m.conj().T) / norms)
-
-
 def connection_form(psi: Lift, x) -> GaugeAlgebraElement:
     """Mechanical connection form A_Psi(X) evaluated via the block formula.
 
@@ -362,7 +361,8 @@ def connection_form(psi: Lift, x) -> GaugeAlgebraElement:
     if xm.shape != psi.psi.shape:
         raise ValueError(f"tangent vector must be {psi.psi.shape}, got {xm.shape}")
     m = psi.psi.conj().T @ xm
-    res = _tangency_residual(psi, xm, m)
+    norms = np.linalg.norm(psi.psi) * np.linalg.norm(xm)
+    res = float(np.linalg.norm(m + m.conj().T) / norms) if norms else 0.0  # scale-free size of Psi†X + X†Psi
     if res > TANGENCY_ERROR:
         raise ValueError(f"vector is not tangent to the bundle at this lift (residual {res:.3e})")
     if res > TANGENCY_SILENT:
@@ -376,7 +376,10 @@ def connection_form(psi: Lift, x) -> GaugeAlgebraElement:
     for slc, p in zip(psi.spectrum.block_slices, psi.spectrum.distinct_values):
         xi[slc, slc] = m[slc, slc] / p
     xi = 0.5 * (xi - xi.conj().T)
-    return GaugeAlgebraElement(xi, psi.spectrum)
+    with np.errstate(over="ignore"):  # exact by construction, but m / p can overflow: the full rules report that
+        if not np.linalg.norm(xi) < np.inf:
+            _hermitian_matrix(xi, "gauge algebra element", anti=True)
+    return _unchecked(GaugeAlgebraElement, _readonly(xi), psi.spectrum)
 
 
 def split(psi: Lift, x) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +406,9 @@ def inertia_inner(
     factor keeps that identity exact; see the package notes on conventions.
     """
     _check_positive(hbar, "hbar")
-    _check_block_structure(xi.xi, spectrum)
-    _check_block_structure(eta.xi, spectrum)
+    for el in (xi, eta):
+        if el.spectrum != spectrum:  # an element built on an equal spectrum passed this check then
+            _check_block_structure(el.xi, spectrum)
     p = np.asarray(spectrum.eigenvalues)
     cols = np.sum(xi.xi.conj() * eta.xi, axis=0)
     return float(2.0 * hbar * np.sum(p * cols).real)

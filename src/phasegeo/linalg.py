@@ -5,8 +5,8 @@ immutable values.  The module provides the Hilbert-Schmidt pairing, the
 metric and symplectic forms built from its real and imaginary parts, and
 a Hermitian eigendecomposition.  The eigendecomposition is LAPACK's
 Hermitian solver (``np.linalg.eigh``) followed by a descending sort and an
-explicit eigenvector phase convention, so the computed frames are
-reproducible from run to run within one numpy/LAPACK build.
+explicit eigenvector phase convention, so the frames are reproducible within
+one numpy/LAPACK build and one BLAS thread count.
 """
 
 from __future__ import annotations
@@ -86,16 +86,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+def _unchecked(cls, *values):
+    """Frozen dataclass ``cls`` of ``values`` (all fields, in order) with no rule run: for values built to meet them."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def hs_inner(x, y) -> complex:
     """Hilbert-Schmidt Hermitian product Tr(X†Y) of two same-shape matrices."""
     xm = as_complex_matrix(x, "X")
     ym = as_complex_matrix(y, "Y")
-    _require_same_shape(xm, ym)
+    if xm.shape != ym.shape:
+        raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
     return complex(np.vdot(xm, ym))
 
 
@@ -138,7 +142,12 @@ def hermitian_eig(h) -> EigenDecomposition:
     norm); it is symmetrized for ``np.linalg.eigh``.  Values come back in stable descending order (equal
     values keep LAPACK's order) and every eigenvector column carries the ``_fix_column_phases`` fix.
     """
-    values, vectors = np.linalg.eigh(_hermitize(_hermitian_matrix(h, stacked=True)))
+    return _eig(_hermitize(_hermitian_matrix(h, stacked=True)))
+
+
+def _eig(h: np.ndarray) -> EigenDecomposition:
+    """``hermitian_eig`` of an exactly Hermitian matrix or stack (a ``_hermitize`` output), without its input rules."""
+    values, vectors = np.linalg.eigh(h)
     n = values.shape[-1]
     order = np.argsort(-values, axis=-1, kind="stable").reshape(-1, 1, n)
     at = np.arange(len(order))[:, None, None]

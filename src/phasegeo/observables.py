@@ -31,7 +31,7 @@ from .bundle import (
     inertia_inner,
     standard_lift,
 )
-from .linalg import _check_positive, _dagger, _hermitian_matrix, _readonly
+from .linalg import _check_positive, _dagger, _hermitian_matrix, _readonly, _unchecked
 
 __all__ = [
     "BracketPair",
@@ -222,6 +222,11 @@ def chi_element(k: int, hbar: float = 1.0) -> GaugeAlgebraElement:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _check_positive(hbar, "hbar")
+    return _chi(k, hbar)
+
+
+@functools.lru_cache(typed=True)  # typed: chi_element(2.0) fails in np.eye even after chi_element(2)
+def _chi(k: int, hbar: float) -> GaugeAlgebraElement:
     return GaugeAlgebraElement(-1j / math.sqrt(2.0 * hbar) * np.eye(k, dtype=np.complex128))
 
 
@@ -235,7 +240,7 @@ def xi_perp(
     """
     chi = chi_element(spectrum.rank, hbar)
     coeff = inertia_inner(chi, xi, spectrum, hbar)
-    return GaugeAlgebraElement(xi.xi - coeff * chi.xi, spectrum)
+    return _unchecked(GaugeAlgebraElement, _readonly(xi.xi - coeff * chi.xi), spectrum)  # valid as xi is
 
 
 def sym_covariance(

@@ -13,8 +13,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .bundle import DensityOperator, Spectrum, DEG_TOL_DEFAULT
-from .linalg import _check_positive, _dagger, _hermitize
+from .bundle import DensityOperator, Spectrum, DEG_TOL_DEFAULT, _density_frame
+from .linalg import _check_positive, _dagger, _eig, _hermitize, _readonly, _unchecked
 from .observables import Observable
 
 __all__ = [
@@ -83,12 +83,13 @@ def sample_density(spectrum: Spectrum, n: int, rng: np.random.Generator) -> Dens
     k = spectrum.rank
     if k > n:
         raise ValueError(f"spectrum rank {k} exceeds dimension {n}")
-    return DensityOperator(_orbit_states(spectrum, sample_unitary(n, rng)))
+    a = _orbit_states(spectrum, sample_unitary(n, rng))  # finite and exactly Hermitian, as in project
+    return _unchecked(DensityOperator, _readonly(a), _density_frame(a, _eig(a)))
 
 
 def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     """Gaussian Hermitian observable (M + M†)/2 for complex Gaussian M."""
-    return Observable(_hermitize(_ginibre(n, n, rng)))
+    return _unchecked(Observable, _readonly(_hermitize(_ginibre(n, n, rng))))  # finite and exactly Hermitian
 
 
 def _orbit_draws(spectrum: Spectrum, n: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +121,7 @@ def sample_spectrum(rank: int, rng: np.random.Generator, deg_tol: float = DEG_TO
         e = np.sort(rng.standard_exponential(rank))[::-1]
         p = e / e.sum()
         if p[-1] >= MIN_EIGENVALUE and (rank == 1 or np.min(p[:-1] - p[1:]) > GAP_SAFETY_FACTOR * deg_tol * p[0]):
-            return Spectrum(tuple(float(v) for v in p), (1,) * rank, deg_tol), resampled
+            return _unchecked(Spectrum, tuple(p.tolist()), (1,) * rank, deg_tol), resampled  # meets every rule
     raise RuntimeError(f"no acceptable spectrum after {MAX_SPECTRUM_DRAWS} draws")
 
 

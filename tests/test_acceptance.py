@@ -86,10 +86,9 @@ def _stdout_value(stdout, label):
     raise AssertionError(f"label {label!r} missing from demo output")
 
 
-@pytest.fixture(scope="module")
-def bound_sweep():
-    """Shared random triples for criteria 3 to 6 and 9."""
-    stats = {
+def new_stats():
+    """Empty per-criterion worst cases for ``record_triple``."""
+    return {
         "count": 0,
         "timed_seconds": 0.0,
         "min_slack_geometric": math.inf,
@@ -100,64 +99,62 @@ def bound_sweep():
         "worst_cauchy_schwarz": 0.0,
         "worst_expectation": 0.0,
     }
+
+
+def record_triple(stats, dim, rank, index):
+    """Draw triple ``index`` of one (dim, rank) combination and fold its worst cases into ``stats``."""
+    rng = make_rng(SEED, dim, rank, index)
+
+    start = time.perf_counter()
+    spectrum, _ = sample_spectrum(rank, rng)
+    rho = sample_density(spectrum, dim, rng)
+    obs_a = sample_hermitian(dim, rng)
+    obs_b = sample_hermitian(dim, rng)
+    lift = standard_lift(rho)
+    report = analyze_pair(obs_a, obs_b, rho, lift=lift)
+    stats["timed_seconds"] += time.perf_counter() - start
+
+    stats["count"] += 1
+    stats["min_slack_geometric"] = min(stats["min_slack_geometric"], report.slack_geometric)
+    stats["min_slack_rs"] = min(stats["min_slack_rs"], report.slack_rs)
+
+    # Criterion 4: geometric covariance versus the trace oracle.
+    geo = sym_covariance(obs_a, obs_b, rho, lift=lift)
+    oracle = 0.5 * np.trace(
+        (obs_a.matrix @ obs_b.matrix + obs_b.matrix @ obs_a.matrix) @ rho.matrix
+    ).real - expected_value(obs_a, rho) * expected_value(obs_b, rho)
+    stats["worst_covariance"] = max(stats["worst_covariance"], abs(geo - oracle) / max(1.0, abs(oracle)))
+
+    # Criterion 5: variance slack equals the perpendicular norm.
+    check = variance_bound_check(obs_a, rho, lift=lift)
+    perp = xi_perp(xi_field(obs_a, lift), lift.spectrum, 1.0)
+    expected_gap = 0.5 * inertia_inner(perp, perp, lift.spectrum, 1.0)
+    stats["worst_variance_slack"] = max(
+        stats["worst_variance_slack"],
+        abs(check.gap - expected_gap) / max(1.0, abs(check.lhs)),
+    )
+    stats["min_variance_gap"] = min(stats["min_variance_gap"], check.lhs - check.rhs)
+
+    # Criterion 6: Cauchy-Schwarz on the horizontal brackets.
+    cs = cauchy_schwarz_check(obs_a, obs_b, rho, lift=lift)
+    stats["worst_cauchy_schwarz"] = max(stats["worst_cauchy_schwarz"], (cs.rhs - cs.lhs) / max(1.0, abs(cs.lhs)))
+
+    # Criterion 9: expectation through the chi pairing.
+    chi = chi_element(lift.rank, 1.0)
+    for obs in (obs_a, obs_b):
+        lhs = math.sqrt(0.5) * inertia_inner(chi, xi_field(obs, lift), lift.spectrum, 1.0)
+        rhs = expected_value(obs, rho)
+        stats["worst_expectation"] = max(stats["worst_expectation"], abs(lhs - rhs) / max(1.0, abs(rhs)))
+
+
+@pytest.fixture(scope="module")
+def bound_sweep():
+    """Shared random triples for criteria 3 to 6 and 9."""
+    stats = new_stats()
     for dim in DIMS:
         for rank in range(1, dim + 1):
             for index in range(SAMPLES_PER_COMBO):
-                rng = make_rng(SEED, dim, rank, index)
-
-                start = time.perf_counter()
-                spectrum, _ = sample_spectrum(rank, rng)
-                rho = sample_density(spectrum, dim, rng)
-                obs_a = sample_hermitian(dim, rng)
-                obs_b = sample_hermitian(dim, rng)
-                lift = standard_lift(rho)
-                report = analyze_pair(obs_a, obs_b, rho, lift=lift)
-                stats["timed_seconds"] += time.perf_counter() - start
-
-                stats["count"] += 1
-                stats["min_slack_geometric"] = min(
-                    stats["min_slack_geometric"], report.slack_geometric
-                )
-                stats["min_slack_rs"] = min(stats["min_slack_rs"], report.slack_rs)
-
-                # Criterion 4: geometric covariance versus the trace oracle.
-                geo = sym_covariance(obs_a, obs_b, rho, lift=lift)
-                oracle = 0.5 * np.trace(
-                    (obs_a.matrix @ obs_b.matrix + obs_b.matrix @ obs_a.matrix) @ rho.matrix
-                ).real - expected_value(obs_a, rho) * expected_value(obs_b, rho)
-                stats["worst_covariance"] = max(
-                    stats["worst_covariance"], abs(geo - oracle) / max(1.0, abs(oracle))
-                )
-
-                # Criterion 5: variance slack equals the perpendicular norm.
-                check = variance_bound_check(obs_a, rho, lift=lift)
-                perp = xi_perp(xi_field(obs_a, lift), lift.spectrum, 1.0)
-                expected_gap = 0.5 * inertia_inner(perp, perp, lift.spectrum, 1.0)
-                stats["worst_variance_slack"] = max(
-                    stats["worst_variance_slack"],
-                    abs(check.gap - expected_gap) / max(1.0, abs(check.lhs)),
-                )
-                stats["min_variance_gap"] = min(
-                    stats["min_variance_gap"], check.lhs - check.rhs
-                )
-
-                # Criterion 6: Cauchy-Schwarz on the horizontal brackets.
-                cs = cauchy_schwarz_check(obs_a, obs_b, rho, lift=lift)
-                stats["worst_cauchy_schwarz"] = max(
-                    stats["worst_cauchy_schwarz"],
-                    (cs.rhs - cs.lhs) / max(1.0, abs(cs.lhs)),
-                )
-
-                # Criterion 9: expectation through the chi pairing.
-                chi = chi_element(lift.rank, 1.0)
-                for obs in (obs_a, obs_b):
-                    lhs = math.sqrt(0.5) * inertia_inner(
-                        chi, xi_field(obs, lift), lift.spectrum, 1.0
-                    )
-                    rhs = expected_value(obs, rho)
-                    stats["worst_expectation"] = max(
-                        stats["worst_expectation"], abs(lhs - rhs) / max(1.0, abs(rhs))
-                    )
+                record_triple(stats, dim, rank, index)
     return stats
 
 

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +230,16 @@ class TestSweep:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_fresh_processes_on_one_blas_thread_write_equal_bytes(self):
+        """The README's promise: one numpy/LAPACK build and one BLAS thread count give byte-identical output."""
+        env = dict(os.environ, PYTHONPATH=str(Path(phasegeo.cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        argv = ["sweep", "--dim", "128", "--rank", "64", "--samples", "2", "--seed", "3", "--format", "json"]
+        runs = [
+            subprocess.run([sys.executable, "-m", "phasegeo.cli", *argv], env=env, capture_output=True, check=True)
+            for _ in range(2)
+        ]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
     def test_json_document_shape(self, capsys):
         assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "4", "--seed", "1"]) == 0

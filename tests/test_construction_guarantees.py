@@ -1,0 +1,63 @@
+"""Values the package builds through ``linalg._unchecked`` meet every rule their public constructor runs.
+
+The fixture below replaces the helper, in every phasegeo namespace that holds it, by one that also
+builds each value through its public constructor and requires the stored fields to agree.  A value
+whose construction did not guarantee its rules then raises where the helper was called.
+"""
+
+import dataclasses
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from phasegeo import linalg
+from phasegeo.verify import run_battery
+
+from test_acceptance import DIMS, new_stats, record_triple
+
+ROUTED = {"Observable", "DensityOperator", "Spectrum", "GaugeAlgebraElement"}
+
+
+def _same(x, y) -> bool:
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(_same(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+@pytest.fixture()
+def checked_helper(monkeypatch):
+    """Route ``_unchecked`` through the public constructors too; count the values built per class."""
+    original = linalg._unchecked
+    built = Counter()
+
+    def checked(cls, *values):
+        value = original(cls, *values)
+        public = cls(*(v for f, v in zip(dataclasses.fields(cls), values) if f.init))
+        assert _same(value, public), f"{cls.__name__} differs from its public construction"
+        built[cls.__name__] += 1
+        return value
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "phasegeo" and vars(module).get("_unchecked") is original:
+            monkeypatch.setattr(module, "_unchecked", checked)
+    return built
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_battery_values_meet_their_rules(checked_helper, dim):
+    assert all(result.passed for result in run_battery(dim, 4, seed=dim))
+    assert set(checked_helper) == ROUTED
+
+
+def test_acceptance_triples_meet_their_rules(checked_helper):
+    stats = new_stats()
+    for dim in DIMS:
+        for rank in range(1, dim + 1):
+            for index in range(15):
+                record_triple(stats, dim, rank, index)
+    assert stats["count"] == 15 * sum(DIMS)
+    assert set(checked_helper) == ROUTED

@@ -12,6 +12,7 @@ from phasegeo.bundle import (
     GaugeAlgebraElement,
     Lift,
     Spectrum,
+    connection_form,
     inertia_inner,
     spectrum_of,
     standard_lift,
@@ -19,7 +20,7 @@ from phasegeo.bundle import (
 from phasegeo.cli import main
 from phasegeo.io import StateFileError, parse_state
 from phasegeo.linalg import form_omega, hermitian_eig, metric_g
-from phasegeo.observables import chi_element
+from phasegeo.observables import Observable, chi_element
 from phasegeo.sampling import make_rng, sample_spectrum
 from phasegeo.verify import tolerance_scale
 
@@ -255,3 +256,90 @@ class TestOversizedIntegers:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {state}: invalid JSON (Exceeds the limit")
         assert err.count("\n") == 1
+
+
+# A rank-2 spectrum whose blocks an off-diagonal element mixes, and a full 2x2 anti-Hermitian element.
+SPLIT = Spectrum((0.75, 0.25), (1, 1))
+MIXING = np.array([[1j, 1.0], [-1.0, -1j]])
+
+
+class TestOutsideInputKeepsEveryRule:
+    """Values built outside the package pass every rule, however the package builds its own."""
+
+    def test_inertia_inner_rejects_an_element_of_another_spectrum_of_equal_rank(self):
+        foreign = GaugeAlgebraElement(MIXING, Spectrum((0.5, 0.5), (2,)))
+        with pytest.raises(ValueError, match="does not commute with P"):
+            inertia_inner(foreign, foreign, SPLIT)
+
+    def test_chi_element_rejects_a_float_rank_after_the_int_one(self):
+        chi_element(2)
+        with pytest.raises(TypeError):
+            chi_element(2.0)
+
+    def test_inertia_inner_rejects_a_bare_element_that_does_not_commute(self):
+        bare = GaugeAlgebraElement(MIXING)
+        ok = GaugeAlgebraElement(np.diag([1j, -1j]), SPLIT)
+        for xi, eta in ((bare, ok), (ok, bare)):
+            with pytest.raises(ValueError, match="does not commute with P"):
+                inertia_inner(xi, eta, SPLIT)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(1e160j, "contains NaN or Inf entries"), (1e10j, "norm overflows")],
+        ids=["m_over_p_overflows", "norm_overflows"],
+    )
+    def test_connection_form_raises_when_m_over_p_overflows(self, entry, message):
+        """p2 = 1e-300 sends m / p past the float range (NaN, Inf) or its norm past it; X is exactly tangent."""
+        lift = Lift(np.diag([1.0, 1e-150]).astype(np.complex128), Spectrum((1.0, 1e-300), (1, 1)))
+        x = np.diag([0.0, entry])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            connection_form(lift, x)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Observable(np.array([[0.0, 1.0], [0.0, 0.0]])), "not Hermitian"),
+            (lambda: Observable(np.array([[np.nan, 0.0], [0.0, 1.0]])), "NaN or Inf"),
+            (lambda: Observable(np.zeros((2, 3))), "must be square"),
+            (lambda: Observable(np.ones(2)), "must be 2-D"),
+            (lambda: Observable(OVERFLOWING + OVERFLOWING.T), "norm overflows"),
+            (lambda: DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]])), "not Hermitian"),
+            (lambda: DensityOperator(np.diag([0.75, 0.5])), "trace must be 1"),
+            (lambda: DensityOperator(np.diag([1.5, -0.5])), "negative eigenvalue"),
+            (lambda: DensityOperator(np.diag([np.inf, 0.0])), "NaN or Inf"),
+            (lambda: Spectrum((0.25, 0.75), (1, 1)), "non-increasing"),
+            (lambda: Spectrum((0.5, 0.4), (1, 1)), "sum to 1"),
+            (lambda: Spectrum((1.0, 0.0), (1, 1)), "strictly positive"),
+            (lambda: Spectrum((0.5 + 1e-10, 0.5 - 1e-10), (1, 1)), "degeneracy tolerance"),
+            (lambda: Spectrum((0.75, 0.25), (2,)), "within a multiplicity block"),
+            (lambda: Spectrum((0.75, 0.25), (1,)), "sum to the number"),
+            (lambda: GaugeAlgebraElement(np.eye(2)), "not anti-Hermitian"),
+            (lambda: GaugeAlgebraElement(np.diag([1j, np.nan])), "NaN or Inf"),
+            (lambda: GaugeAlgebraElement(MIXING, SPLIT), "does not commute with P"),
+            (lambda: GaugeAlgebraElement(1j * np.eye(3), SPLIT), "spectrum has rank 2"),
+        ],
+        ids=[
+            "observable-not-hermitian",
+            "observable-nan",
+            "observable-not-square",
+            "observable-1d",
+            "observable-norm-overflows",
+            "density-not-hermitian",
+            "density-trace",
+            "density-negative",
+            "density-inf",
+            "spectrum-increasing",
+            "spectrum-sum",
+            "spectrum-zero",
+            "spectrum-degenerate",
+            "spectrum-block-values",
+            "spectrum-multiplicities",
+            "element-hermitian",
+            "element-nan",
+            "element-mixes-blocks",
+            "element-rank",
+        ],
+    )
+    def test_public_constructor_rejects(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -18,8 +18,11 @@ thread:
   CSV, and a single sample at (4, 3) in both, each at seeds 3-5.  The 4000
   samples at dimension 3 fill more than two chunks of the batched sweep
   (``phasegeo.cli._CHUNK_ENTRIES``);
-- ``verify`` at (dim, samples, seed) (2, 40, 7), (4, 8, 1), (6, 8, 3)
-  and (2, 1, 12);
+- ``verify`` at (dim, samples, seed) (2, 40, 7), (4, 8, 1), (6, 8, 3),
+  (2, 1, 12), (4, 8, 1000000) (the first invocation of the verify
+  benchmark), (3, 16, 5) and (5, 8, 11).  Values the package builds skip
+  input rules they meet by construction, and a slip there would show in
+  these residuals first;
 - ``demo spin`` with ``--p1 0.75``, ``--p1 0.5 --hbar 2`` and
   ``--p1 0.999``.  Its text prints the standard lift, so these cases
   compare byte for byte;
@@ -65,7 +68,7 @@ SWEEPS = (
     (4, 3, 1, "csv"),
 )
 SWEEP_SEEDS = (3, 4, 5)
-VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12))
+VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12), (4, 8, 1000000), (3, 16, 5), (5, 8, 11))
 ANALYZE_SEEDS = (1, 2)
 DEMOS = (("--p1", "0.75"), ("--p1", "0.5", "--hbar", "2"), ("--p1", "0.999"))
 # Observable names that JSON must escape and CSV must quote.
