@@ -1,14 +1,16 @@
 """File formats for states, observables, and uncertainty reports.
 
 Complex numbers are serialized as two-element [re, im] sequences, which is
-unambiguous and language-neutral.  JSON is the canonical format; floats
+unambiguous and language-neutral.  The observables of a document are
+validated as one stack, types then Hermiticity; only a fault runs the
+per-observable loop, which names it.  JSON is the canonical format; floats
 pass through Python's shortest round-trip repr, so serialize-then-parse is
 lossless at full double precision.  Every JSON document is json.dumps(obj,
-indent=2) byte for byte.  The reports of analyze and the records of sweep
-are written straight from their columns: in JSON each key is encoded once
-into a %-template that each record fills, and json.dumps writes the rest;
-in CSV one writerows call takes the rows.  CSV rows flatten the report
-fields in the fixed order of REPORT_FIELDS.
+indent=2) byte for byte.  analyze and sweep write their reports and
+records straight from columns: in JSON each key is encoded once into a
+%-template that each record fills, a value shared by many records (a name
+or spread of analyze) is formatted once, and json.dumps writes the rest;
+in CSV one writerows call takes the rows, in the order of REPORT_FIELDS.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from .bundle import DensityOperator
+from .linalg import _hermitian_matrix, _readonly, _unchecked
 from .observables import Observable
 from .uncertainty import UncertaintyReport
 
@@ -67,15 +70,21 @@ def _parse_complex(entry: Any, where: str) -> complex:
         raise StateFileError(f"{where}: complex entry is out of the float range") from None
 
 
+def _stacked_matrices(cells: list, dim: int) -> np.ndarray:
+    """Matrices of dim rows of dim [re, im] entries as one (len(cells), dim, dim) complex128 array, from one check of
+    the exact types at each level.  A miss raises ValueError and an overflow OverflowError: the loop names the entry."""
+    for types, n in (({list}, dim), ({list}, dim), ({list, tuple}, 2)):
+        cells = [*chain.from_iterable(cells)] if {*map(type, cells)} <= types and {*map(len, cells)} <= {n} else [None]
+    if {*map(type, cells)} <= {int, float}:
+        return np.array(cells, dtype=np.float64).view(np.complex128).reshape(-1, dim, dim)
+    raise ValueError("a matrix, row, entry or value of another type or length")
+
+
 def _parse_matrix(obj: Any, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise StateFileError(f"{where}: expected {dim} rows, got {obj!r}")
-    # One check of the exact row, entry and value types; a miss or an overflow takes the loop, which names the entry.
-    entries = [*chain.from_iterable(obj)] if {*map(type, obj)} == {list} and {*map(len, obj)} == {dim} else [None]
-    values = [*chain.from_iterable(entries)] if {*map(type, entries)} <= {list, tuple} else [None]
-    if {*map(type, values)} <= {int, float} and {*map(len, entries)} == {2}:
-        with suppress(OverflowError):
-            return np.array(obj, dtype=np.float64).view(np.complex128).reshape(dim, dim)
+    with suppress(ValueError, OverflowError):
+        return _stacked_matrices([obj], dim)[0]
     out = np.zeros((dim, dim), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
@@ -116,11 +125,18 @@ def load_state(path: str) -> tuple[DensityOperator, float]:
 
 
 def parse_observables(obj: Any, dim: int) -> list[tuple[str, Observable]]:
-    """Build named observables from a decoded observables document."""
+    """Build named observables from a decoded document in one stacked check; on any fault the loop below names it."""
     if not isinstance(obj, dict) or not isinstance(obj.get("observables"), list):
         raise StateFileError("observables document must contain an 'observables' list")
+    items = obj["observables"]
+    if {*map(type, items)} <= {dict}:
+        names = [item.get("name", f"obs{idx}") for idx, item in enumerate(items)]
+        with suppress(ValueError, OverflowError):
+            matrices = [item.get("matrix") for item in items] if {*map(type, names)} <= {str} else [None]
+            stack = _readonly(_hermitian_matrix(_stacked_matrices(matrices, dim), "observable", stacked=True))
+            return [(name, _unchecked(Observable, matrix)) for name, matrix in zip(names, stack)]  # rules passed
     out: list[tuple[str, Observable]] = []
-    for idx, item in enumerate(obj["observables"]):
+    for idx, item in enumerate(items):
         where = f"observables[{idx}]"
         if not isinstance(item, dict):
             raise StateFileError(f"{where}: must be an object")
@@ -214,6 +230,8 @@ def _write_pair_columns(fh, fmt: str, columns: dict, header: dict, key: str, tra
     for column in columns.values():
         values, index = column if isinstance(column, tuple) else (column, None)
         kind, values = encode(values)
+        if kind == "%r" and index is not None:  # a shared column's text is formatted once, not once per record
+            kind, values = "%s", [*map(repr, values)]
         cells.append((kind, values if index is None else [*map(values.__getitem__, index)]))
     if fmt == "json":  # the records go in place of a null placeholder; the text before it does not depend on the rest
         before = json.dumps({**header, key: None}, indent=2).rpartition("null")[0]

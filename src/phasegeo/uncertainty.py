@@ -24,8 +24,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import ge, mul, sub
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -221,34 +219,33 @@ def _pair_columns(observables: Sequence[Observable], rho: DensityOperator, hbar:
 
 
 def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> tuple:
-    """The S*N spreads, the pair indices (a, b) into them and the report columns after delta_a and delta_b, in
-    Python floats: one pass over all spreads, whose faults come first, then one over all S*P pairs."""
+    """The S*N spreads, the pair indices (a, b) into them and the report columns after delta_a and delta_b, as
+    Python floats: one pass over all spreads, whose faults come first, then one numpy pass over all S*P pairs."""
     products = mats @ rho[:, None]
     traces = products.trace(axis1=-2, axis2=-1)
     seconds = (mats @ mats @ rho[:, None]).trace(axis1=-2, axis2=-1).real
-    means = traces.real
-    sigma = np.einsum("...ikl,...jlk->...ij", mats, products) - means[..., :, None] * means[..., None, :]
-    norms = np.linalg.norm(mats, axis=(-2, -1)).ravel().tolist()
-    moments = (seconds.ravel().tolist(), map(_real_trace, traces.ravel().tolist()), norms)
+    sigma = np.einsum("...ikl,...jlk->...ij", mats, products) - traces.real[..., :, None] * traces.real[..., None, :]
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    moments = (seconds.ravel().tolist(), map(_real_trace, traces.ravel().tolist()), norms.ravel().tolist())
     spreads = [*map(math.sqrt, map(_clamped_variance, *moments))]
     a, b, ab = _pair_index(*mats.shape[:2])
     bracket, cov = z.take(ab), sigma.take(ab)
-    riemann, poisson = bracket.real.tolist(), bracket.imag.tolist()
-    product = [*map(mul, map(spreads.__getitem__, a), map(spreads.__getitem__, b))]
+    product, scale = ((x[..., :, None] * x[..., None, :]).take(ab) for x in (np.reshape(spreads, norms.shape), norms))
     # math.hypot, not numpy's hypot or abs, which round differently in some last bits.
-    geo = [*map(mul, repeat(0.5 * hbar), map(math.hypot, riemann, poisson))]
-    rs = [*map(math.hypot, cov.real.tolist(), cov.imag.tolist())]
-    slack_geo, slack_rs = [*map(sub, product, geo)], [*map(sub, product, rs)]
-    top = [*map(max, product, geo, rs)]
-    scale = [*map(mul, map(norms.__getitem__, a), map(norms.__getitem__, b))]
-    tol = [-_SLACK_TOL * max(t, min(1.0, s)) - _ROUNDING_TOL * s for t, s in zip(top, scale)]
-    if not all(map(ge, slack_geo, tol)) or not all(map(ge, slack_rs, tol)):
-        k = next(k for k, t in enumerate(tol) if not slack_geo[k] >= t or not slack_rs[k] >= t)
+    geo = 0.5 * hbar * np.fromiter(map(math.hypot, bracket.real.tolist(), bracket.imag.tolist()), float, len(ab))
+    rs = np.fromiter(map(math.hypot, cov.real.tolist(), cov.imag.tolist()), float, len(ab))
+    slack_geo, slack_rs = product - geo, product - rs
+    # fmax passes over a NaN after its first argument, as Python's max does: a NaN fails its own bound alone.
+    top = np.fmax(np.fmax(product, geo), rs)
+    tol = -_SLACK_TOL * np.fmax(top, np.minimum(1.0, scale)) - _ROUNDING_TOL * scale
+    if not (held := (slack_geo >= tol) & (slack_rs >= tol)).all():
+        k = held.argmin()  # the first pair that breaks a guard
         bound, value = ("geometric", geo[k]) if not slack_geo[k] >= tol[k] else ("Robertson-Schrodinger", rs[k])
-        raise RelationViolationError(f"{bound} bound {value!r} exceeds spread product {product[k]!r}")
-    winners = ["tie" if abs(g - r) <= _TIE_TOL * t else "geometric" if g > r else "robertson_schrodinger"
-               for g, r, t in zip(geo, rs, map(max, top, scale))]
-    return spreads, (a, b), (product, riemann, poisson, geo, rs, slack_geo, slack_rs, winners)
+        raise RelationViolationError(f"{bound} bound {float(value)!r} exceeds spread product {float(product[k])!r}")
+    codes = np.where(abs(geo - rs) <= _TIE_TOL * np.maximum(top, scale), 2, geo > rs)  # RS wins, geometric wins, tie
+    winners = np.array(["robertson_schrodinger", "geometric", "tie"], dtype=object)[codes]
+    columns = (product, bracket.real, bracket.imag, geo, rs, slack_geo, slack_rs, winners)
+    return spreads, (a, b), tuple(column.tolist() for column in columns)
 
 
 def analyze_pair(

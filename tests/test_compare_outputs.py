@@ -138,3 +138,28 @@ def test_escaped_names_case_keeps_every_name(fmt, tmp_path, capsys):
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     assert [(rec["a"], rec["b"]) for rec in records[: len(pairs)]] == pairs
     assert len(records) == len(pairs) + (fmt == "json")
+
+
+def test_error_cases_must_exit_2_with_the_same_stderr():
+    old = _proc("", returncode=2)
+    old.stderr = "error: observables[5].matrix: observable is not Hermitian within tolerance\n"
+    assert compare_outputs.compare_case(old, copy.copy(old), "error") == ("byte-identical", True)
+    new = copy.copy(old)
+    new.stderr = old.stderr.replace("[5]", "[4]")
+    assert compare_outputs.compare_case(old, new, "error") == ("stderr differs", False)
+    assert compare_outputs.compare_case(old, _analyze(REPORT), "error") == ("exit status 2 vs 0", False)
+    assert compare_outputs.compare_case(old, copy.copy(old), "json") == ("exit status 2 vs 2", False)
+
+
+def test_fault_cases_name_the_planted_observable(tmp_path, capsys):
+    from phasegeo.cli import main
+
+    state, observables = compare_outputs.escaped_names_files(str(tmp_path))
+    messages = [
+        "observables[5].matrix: observable is not Hermitian within tolerance",
+        "observables[3].matrix[1][2]: complex entry must be [re, im], got [0.5]",
+    ]
+    for (_, path), message in zip(compare_outputs.faulty_observables_files(str(tmp_path), observables), messages):
+        assert main(["analyze", "--state", state, "--observables", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(message + "\n")

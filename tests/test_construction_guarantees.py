@@ -61,3 +61,16 @@ def test_acceptance_triples_meet_their_rules(checked_helper):
                 record_triple(stats, dim, rank, index)
     assert stats["count"] == 15 * sum(DIMS)
     assert set(checked_helper) == ROUTED
+
+
+def test_parsed_observables_meet_their_rules(checked_helper):
+    """parse_observables builds each observable of a stack that passed the stacked rules: the per-matrix rules hold."""
+    from phasegeo.io import parse_observables
+
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+    scales = np.geomspace(1e-150, 1e150, len(g))[:, None, None]
+    mats = scales * (g + g.conj().swapaxes(-1, -2)) + 1e-13 * np.abs(scales) * g  # slightly off-Hermitian, in tolerance
+    doc = {"observables": [{"matrix": np.stack((m.real, m.imag), axis=-1).tolist()} for m in mats]}
+    assert len(parse_observables(doc, 4)) == len(mats)
+    assert checked_helper == {"Observable": len(mats)}

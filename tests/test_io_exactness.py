@@ -213,6 +213,29 @@ class TestPairColumns:
         write_reports_csv(from_dicts, [dict(zip(SWEEP_FIELDS + REPORT_FIELDS, row)) for row in rows], SWEEP_FIELDS)
         assert from_dicts.getvalue() == want
 
+    # Indexed columns as analyze's delta_a and delta_b are: few values, each shared by many records.
+    SHARED = {
+        "floats": [-0.0, 5e-324, 1e16, 0.1, -2.5, 1.7976931348623157e308],
+        "ints": [0, -1, 2**53 + 1, 10**30, 7, -(2**63) - 1],
+        "edges": _EDGE_FLOATS,
+        "np.float64": [np.float64(v) for v in [0.5, -0.0, 1e16, 3, 5e-324, 2.0]],
+        "names": NAMES,
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_indexed_columns_with_repeated_values(self, fmt, count):
+        index = [(7 * k * k + 3) % 6 for k in range(count)]
+        columns = {"k": [*range(count)], **{key: (values, index) for key, values in self.SHARED.items()}}
+        rows = [[k, *(values[i] for values in self.SHARED.values())] for k, i in enumerate(index)]
+        buf = io.StringIO()
+        _write_pair_columns(buf, fmt, columns, {"hbar": 0.5}, "reports")
+        if fmt == "json":
+            want = json.dumps({"hbar": 0.5, "reports": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+        else:
+            want = _csv_text(tuple(columns), rows)
+        assert buf.getvalue() == want
+
 
 class TestFraming:
     """The text around the records is json.dumps's, whatever header and trailer frame them."""
@@ -311,6 +334,56 @@ class TestParseMessagesArePinned:
         assert other.matrix.tobytes() == rho.matrix.tobytes()
         (_, obs), = parse_observables({"observables": [{"matrix": [[convert(e) for e in row] for row in SX]}]}, 2)
         np.testing.assert_array_equal(obs.matrix, [[0, 0.5], [0.5, 0]])
+
+    # (the observables after three good ones, the message naming the first fault)
+    NOT_HERMITIAN = ".matrix: observable is not Hermitian within tolerance"
+    NOT_FINITE = ".matrix: observable contains NaN or Inf entries"
+    SHORT = ".matrix: expected 2 rows, got [[[0, 0], [0.5, 0]]]"
+    NORM_OVERFLOW = ".matrix: observable norm overflows; rescale its entries"
+    LATE_FAULTS = [
+        ([{"matrix": _with_entry(SX, [1, 0])}], "observables[3]" + NOT_HERMITIAN),
+        ([{"matrix": json.loads("[[[0, 0], [NaN, 0]], [[NaN, 0], [0, 0]]]")}], "observables[3]" + NOT_FINITE),
+        ([{"matrix": json.loads("[[[Infinity, 0], [0, 0]], [[0, 0], [0, 0]]]")}], "observables[3]" + NOT_FINITE),
+        ([{"matrix": SX[:1]}], "observables[3]" + SHORT),
+        ([{"matrix": [*SX, SX[0]]}], f"observables[3].matrix: expected 2 rows, got {[*SX, SX[0]]!r}"),
+        ([{"name": "x"}], "observables[3].matrix: expected 2 rows, got None"),
+        (
+            [{"matrix": _with_entry(SX, [10**400, 0])}],
+            "observables[3].matrix[0][1]: complex entry is out of the float range",
+        ),
+        ([{"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}], "observables[3]" + NORM_OVERFLOW),
+        ([{"matrix": SX[:1]}, "not an object"], "observables[3]" + SHORT),
+        ([{"matrix": _with_entry(SX, [1, 0])}, {"name": 5}], "observables[3]" + NOT_HERMITIAN),
+        ([{"matrix": SX}, 7, {"matrix": SX[:1]}], "observables[4]: must be an object"),
+        ([{"name": ["B"], "matrix": SX}, {"matrix": [[[0, 0]]]}], "observables[3].name: must be a string, got ['B']"),
+        (
+            [{"matrix": SX}] * 2 + [{"matrix": _with_entry(SX, "0.5")}],
+            "observables[5].matrix[0][1]: complex entry must be [re, im], got '0.5'",
+        ),
+    ]
+
+    @pytest.mark.parametrize("late, message", LATE_FAULTS, ids=[m for _, m in LATE_FAULTS])
+    def test_first_fault_after_good_observables_is_named(self, late, message):
+        doc = {"observables": [{"name": f"G{k}", "matrix": SX} for k in range(3)] + late}
+        with pytest.raises(StateFileError, match="^" + re.escape(message) + "$"):
+            parse_observables(doc, 2)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [tuple, lambda entry: [np.float64(v) for v in entry], lambda entry: (np.float64(entry[0]), entry[1])],
+        ids=["tuples", "np.float64", "mixed"],
+    )
+    def test_library_entries_build_the_same_observables(self, convert):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        mats = [[[[float(v.real), float(v.imag)] for v in row] for row in a + a.conj().T] for a in g]
+        plain = parse_observables({"observables": [{"name": f"A{k}", "matrix": m} for k, m in enumerate(mats)]}, 3)
+        items = [{"matrix": [[convert(e) for e in row] for row in m]} for m in mats]
+        items[1]["name"] = "A1"
+        other = parse_observables({"observables": items}, 3)
+        assert [name for name, _ in other] == ["obs0", "A1", "obs2", "obs3", "obs4"]
+        assert [obs.matrix.tobytes() for _, obs in other] == [obs.matrix.tobytes() for _, obs in plain]
+        assert not any(obs.matrix.flags.writeable for _, obs in plain + other)
 
     def test_fast_and_per_entry_paths_give_the_same_bytes(self):
         """Exact ints and floats take the one-pass conversion; np.float64 values take the loop."""

@@ -422,6 +422,39 @@ class TestGuardsNameTheFirstFailingPair:
         assert pair.geometric_bound < product < pair.rs_bound
         assert str(err.value) == f"Robertson-Schrodinger bound {pair.rs_bound!r} exceeds spread product {product!r}"
 
+    # Pairs in row-major order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+    @pytest.mark.parametrize(
+        "nan_rs, nan_bracket, first, bound",
+        [
+            ((1, 2), None, 3, "Robertson-Schrodinger"),
+            (None, (0, 3), 2, "geometric"),
+            ((0, 2), (1, 3), 1, "Robertson-Schrodinger"),
+            ((1, 3), (0, 2), 1, "geometric"),
+        ],
+    )
+    def test_nan_input_names_its_bound_and_pair(self, monkeypatch, case, nan_rs, nan_bracket, first, bound):
+        """A NaN in one bound's input fails that bound alone: the other bound and the tolerance stay finite."""
+        rho, observables, reports = case
+        real_einsum, real_brackets = np.einsum, uncertainty.bracket_matrix
+
+        def einsum(subscripts, *operands, **kwargs):  # Sigma, whose modulus is the RS bound
+            out = real_einsum(subscripts, *operands, **kwargs)
+            if nan_rs and subscripts.endswith("->...ij"):
+                out[(..., *nan_rs)] = np.nan
+            return out
+
+        def bracket_matrix(*args, **kwargs):
+            z = real_brackets(*args, **kwargs).copy()
+            if nan_bracket:
+                z[nan_bracket] = np.nan
+            return z
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(uncertainty, "bracket_matrix", bracket_matrix)
+        with pytest.raises(RelationViolationError) as err:
+            uncertainty.analyze_pairs(observables, rho, self.HBAR)
+        assert str(err.value) == f"{bound} bound nan exceeds spread product {reports[first].product!r}"
+
 
 def _scalar_reports(mats, rho, z, hbar):
     """The pair-by-pair loop that uncertainty._report_columns replaced, kept as its reference."""

@@ -13,6 +13,10 @@ thread:
   ``"``, ``\\``, a comma, a newline), generated here, and on the same kind
   of state with only the first one and the first two of those names: an
   empty report list and a single report;
+- ``analyze`` on two faulty copies of the escaped-names observables: one
+  with a non-Hermitian observable at index 5, one with a malformed entry
+  in the observable at index 3.  Both trees must exit 2, and their stderr
+  (the message naming the observable) must be the same;
 - ``sweep`` at (dim, rank, samples) (4, 3, 200), (32, 16, 10) and
   (2, 1, 100) (pure states) in JSON, and (6, 6, 100) and (3, 2, 4000) in
   CSV, and a single sample at (4, 3) in both, each at seeds 3-5.  The 4000
@@ -35,9 +39,10 @@ largest drift relative to the largest float field of its record (verify:
 each check whose residual changed).  It exits 1 when a drift exceeds
 1e-15, when record counts, keys, non-float values (names, indices,
 ``bound_winner``) or verify PASS/FAIL lines differ, when a demo's text
-or the stderr of any case (the sweep summary line, the analyze warning)
-differs at all, when an ``--output`` case's file or stdout differs at
-all, or when either tree exits nonzero.
+or the stderr of any case (the sweep summary line, the analyze warning,
+an input fault's message) differs at all, when an ``--output`` case's
+file or stdout differs at all, or when either tree exits other than 0
+(2 for a faulty input).
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ ANALYZE_SEEDS = (1, 2)
 DEMOS = (("--p1", "0.75"), ("--p1", "0.5", "--hbar", "2"), ("--p1", "0.999"))
 # Observable names that JSON must escape and CSV must quote.
 ESCAPED_NAMES = ("Ŝ_x", 'say "hi"', "back\\slash", "a, b", "two\nlines", "日本")
+# Faults planted in the escaped-names observables: (label, observable index, row, column, entry).  The first entry
+# breaks Hermiticity; the second has one number where [re, im] needs two.
+FAULTS = (("non-Hermitian observable 5", 5, 0, 2, [7.0, 0.5]), ("malformed entry 3", 3, 1, 2, [0.5]))
 
 
 def _analyze_files(workdir: str) -> dict[int, object]:
@@ -109,6 +117,20 @@ def escaped_names_files(workdir: str, names: tuple[str, ...] = ESCAPED_NAMES) ->
     return paths
 
 
+def faulty_observables_files(workdir: str, observables: str) -> list[tuple[str, str]]:
+    """(label, path) of one copy of an observables document per entry of FAULTS, with that entry planted."""
+    out = []
+    for label, index, row, column, entry in FAULTS:
+        with open(observables, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["observables"][index]["matrix"][row][column] = entry
+        path = os.path.join(workdir, f"fault{index}_observables.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, ensure_ascii=False)
+        out.append((label, path))
+    return out
+
+
 def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
     """(label, CLI arguments, output kind) of every case, in print order."""
     cases = []
@@ -121,6 +143,8 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
         for fmt in ("json", "csv"):
             argv = ["analyze", "--state", state, "--observables", observables]
             cases.append((f"analyze {label} {fmt}", argv + ["--format", fmt], fmt))
+    for label, observables in faulty_observables_files(workdir, escaped[1]):
+        cases.append((f"analyze {label}", ["analyze", "--state", escaped[0], "--observables", observables], "error"))
     for dim, rank, samples, fmt in SWEEPS:
         for seed in SWEEP_SEEDS:
             argv = ["sweep", "--dim", str(dim), "--rank", str(rank), "--samples", str(samples)]
@@ -221,8 +245,8 @@ def _compare_verify(old: str, new: str) -> tuple[list[str], list[str]]:
 
 
 def compare_case(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess, kind: str) -> tuple[str, bool]:
-    """One summary line for a case and whether the two trees agree."""
-    if old.returncode or new.returncode:
+    """One summary line for a case and whether the two trees agree; an "error" case must exit 2 in both."""
+    if (old.returncode, new.returncode) != (2 if kind == "error" else 0,) * 2:
         return f"exit status {old.returncode} vs {new.returncode}", False
     if old.stderr != new.stderr:
         return "stderr differs", False
@@ -230,7 +254,7 @@ def compare_case(old: subprocess.CompletedProcess, new: subprocess.CompletedProc
         return "written file differs", False
     if old.stdout == new.stdout:
         return "byte-identical", True
-    if kind in ("demo", "file"):
+    if kind in ("demo", "file", "error"):
         return "text differs", False
     if kind == "verify":
         notes, errors = _compare_verify(old.stdout, new.stdout)
