@@ -177,19 +177,13 @@ class DensityOperator:
     frame: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, eig = _density_frames(self.matrix)
+        a = _complex_array(self.matrix, "density matrix")
+        object.__setattr__(self, "frame", _density_frame(a, hermitian_eig(a)))
         object.__setattr__(self, "matrix", _readonly(a))
-        object.__setattr__(self, "frame", eig)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _density_frames(m, stacked: bool = False) -> tuple[np.ndarray, EigenDecomposition]:
-    """The DensityOperator rules on one matrix or each slice of a stack: the array and its eigendecomposition."""
-    a = _complex_array(m, "density matrix", stacked)
-    return a, _density_frame(a, hermitian_eig(a))
 
 
 def _density_frame(a: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:

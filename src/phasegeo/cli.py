@@ -21,9 +21,10 @@ import numpy as np
 
 from .bundle import DensityOperator, split, standard_lift
 from .io import REPORT_FIELDS, SWEEP_FIELDS, StateFileError, _write_pair_columns, load_observables, load_state
-from .observables import expected_value, ham_field, spin_half
+from .linalg import EigenDecomposition
+from .observables import _stack, expected_value, ham_field, spin_half
 from .sampling import _orbit_draws, make_rng, sample_spectrum
-from .uncertainty import RelationViolationError, _analyze_states, _pair_columns, analyze_pair
+from .uncertainty import RelationViolationError, _analyze_states, analyze_pair
 from .verify import ToleranceScaleError, run_battery
 
 __all__ = ["main", "entry"]
@@ -133,7 +134,12 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
     named = load_observables(observables_path, rho.dim)
     if len(named) < 2:
         print("warning: fewer than two observables, no pairs to analyze", file=sys.stderr)
-    spreads, (a, b), columns = _pair_columns([obs for _, obs in named], rho, hbar)
+    mats = _stack([obs for _, obs in named], rho.dim)[None]
+    frame = EigenDecomposition(rho.frame.values[None], rho.frame.vectors[None])
+    try:
+        spreads, (a, b), columns = _analyze_states(mats, rho.matrix[None], frame, hbar)
+    except ValueError as exc:  # the rank cut can drop more mass than the sum rule of the spectrum allows
+        raise StateFileError(f"matrix: {exc}") from exc
     names = [name for name, _ in named]
     per_pair = {"a": (names, a), "b": (names, b), "delta_a": (spreads, a), "delta_b": (spreads, b)}
     buf = StringIO()
@@ -149,8 +155,8 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
     chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
     for start in range(0, samples, chunk):
         rngs = (make_rng(seed, 1, index) for index in range(start, min(start + chunk, samples)))
-        states, observables = _orbit_draws(spectrum, dim, rngs)
-        spreads, _, columns = _analyze_states(observables, states, 1.0)
+        states, frames, observables = _orbit_draws(spectrum, dim, rngs)
+        spreads, _, columns = _analyze_states(observables, states, frames, 1.0)
         # One pair (A, B) per sample: its spreads alternate.
         for column, values in zip(report.values(), (spreads[::2], spreads[1::2], *columns)):
             column.extend(values)

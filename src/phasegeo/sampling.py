@@ -92,13 +92,14 @@ def sample_hermitian(n: int, rng: np.random.Generator) -> Observable:
     return _unchecked(Observable, _readonly(_hermitize(_ginibre(n, n, rng))))  # finite and exactly Hermitian
 
 
-def _orbit_draws(spectrum: Spectrum, n: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked orbit states (S, n, n) and observable pairs (S, 2, n, n), one sample per generator.
-
-    Each generator draws what sample_density and then two sample_hermitian calls would, in order.
+def _orbit_draws(spectrum: Spectrum, n: int, rngs: Iterable[np.random.Generator]) -> tuple:
+    """Stacked orbit states (S, n, n), their eigendecompositions and observable pairs (S, 2, n, n), one sample per
+    generator: the values sample_density and then two sample_hermitian calls would draw, in order, under the same
+    rules.  The values are finite and exactly Hermitian by construction, so only the trace and PSD rules run.
     """
     g = np.array([_ginibre(n, n, rng, 3) for rng in rngs])
-    return _orbit_states(spectrum, _haar(g[:, 0])), _hermitize(g[:, 1:])
+    states = _orbit_states(spectrum, _haar(g[:, 0]))
+    return states, _density_frame(states, _eig(states)), _hermitize(g[:, 1:])
 
 
 def sample_spectrum(rank: int, rng: np.random.Generator, deg_tol: float = DEG_TOL_DEFAULT) -> tuple[Spectrum, int]:

@@ -29,8 +29,8 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .bundle import DEG_TOL_DEFAULT, RANK_TOL_DEFAULT, DensityOperator, Lift
-from .bundle import _check_spectra, _density_frames, _lift_array, _spectral_groups, _standard_psi
-from .linalg import _hermitian_matrix, _readonly
+from .bundle import _check_spectra, _lift_array, _spectral_groups, _standard_psi
+from .linalg import EigenDecomposition, _readonly
 from .observables import Observable, _bracket_kernel, _real_trace, _stack, bracket_matrix, expected_value
 
 __all__ = [
@@ -188,7 +188,8 @@ def analyze_pairs(
     exceeds the spread product beyond tolerance; that can only mean a
     numerical or implementation fault.
     """
-    spreads, (a, b), columns = _pair_columns(observables, rho, hbar, lift)
+    z = bracket_matrix(observables, rho, hbar, lift=lift)
+    spreads, (a, b), columns = _report_columns(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)
     return [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
 
 
@@ -199,23 +200,16 @@ def _pair_index(states: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(a.tolist()), tuple(b.tolist()), _readonly(n * a + b % n)
 
 
-def _analyze_states(observables: np.ndarray, states: np.ndarray, hbar: float) -> tuple:
-    """The _report_columns of analyze_pairs at the standard lift of each state (S, n, n), with every input rule, per
-    slice: every spectral group's brackets first, in one (S, N, N) array, then one report pass over all pairs."""
-    rho, frames = _density_frames(states, stacked=True)
-    mats = _hermitian_matrix(observables, "observable", stacked=True)
+def _analyze_states(mats: np.ndarray, rho: np.ndarray, frames: EigenDecomposition, hbar: float) -> tuple:
+    """The _report_columns of analyze_pairs at the standard lift of each state, for observables (S, N, n, n) and
+    states (S, n, n) with their eigendecompositions, all of which passed their own rules: per block structure, the
+    Spectrum and Lift rules and the brackets into one (S, N, N) array, then one report pass over all pairs."""
     z = np.empty(mats.shape[:2] + mats.shape[1:2], dtype=np.complex128)
     for rows, multiplicities, p in _spectral_groups(frames.values, RANK_TOL_DEFAULT, DEG_TOL_DEFAULT):
         _check_spectra(p, multiplicities, DEG_TOL_DEFAULT)
         psi = _lift_array(_standard_psi(frames.vectors[rows], p), p, hbar, stacked=True)
         z[rows] = _bracket_kernel(mats[rows], psi, p, multiplicities, hbar)
     return _report_columns(mats, rho, z, hbar)
-
-
-def _pair_columns(observables: Sequence[Observable], rho: DensityOperator, hbar: float, lift=None) -> tuple:
-    """analyze_pairs as the columns of _report_columns, with no report built."""
-    z = bracket_matrix(observables, rho, hbar, lift=lift)
-    return _report_columns(_stack(observables, rho.dim)[None], rho.matrix[None], z[None], hbar)
 
 
 def _report_columns(mats: np.ndarray, rho: np.ndarray, z: np.ndarray, hbar: float) -> tuple:

@@ -13,10 +13,16 @@ import pytest
 
 import phasegeo.cli
 import phasegeo.io
+import phasegeo.linalg
+import phasegeo.observables
 import phasegeo.uncertainty
+from phasegeo.bundle import DensityOperator
 from phasegeo.cli import main
-from phasegeo.io import REPORT_FIELDS, parse_observables, parse_state, read_reports_csv, report_to_dict
-from phasegeo.uncertainty import UncertaintyReport, analyze_pair
+from phasegeo.io import REPORT_FIELDS, load_state, parse_observables, parse_state, read_reports_csv, report_to_dict
+from phasegeo.observables import Observable
+from phasegeo.uncertainty import UncertaintyReport, analyze_pair, analyze_pairs
+
+from test_sweep_batching import _mixed_stack
 
 STATE_JSON = json.dumps(
     {
@@ -35,6 +41,46 @@ SPIN_OBSERVABLES_JSON = json.dumps(
         ]
     }
 )
+
+
+def _entries(m):
+    """A matrix as the [re, im] entries of a state or observables file."""
+    return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def _observables_json(names, mats):
+    return json.dumps({"observables": [{"name": name, "matrix": _entries(m)} for name, m in zip(names, mats)]})
+
+
+def _route_calls(monkeypatch):
+    """The observable stack shape of each call the CLI makes of uncertainty._analyze_states."""
+    real, shapes = phasegeo.cli._analyze_states, []
+
+    def recorded(mats, *args):
+        shapes.append(mats.shape)
+        return real(mats, *args)
+
+    monkeypatch.setattr(phasegeo.cli, "_analyze_states", recorded)
+    return shapes
+
+
+def _nan_kernel(mats, psi, eigenvalues, multiplicities, hbar):
+    """uncertainty._bracket_kernel with every bracket NaN."""
+    return np.full(mats.shape[:-2] + mats.shape[-3:-2], np.nan, dtype=complex)
+
+
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of each call of ``module.name``, through every phasegeo namespace that holds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "phasegeo" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def _value(stdout, label):
@@ -164,15 +210,30 @@ class TestAnalyze:
         assert calls == []
 
     def test_nan_brackets_exit_3(self, files, monkeypatch, capsys):
-        def bracket_matrix(observables, rho, hbar=1.0, *, lift=None):
-            return np.full((len(observables), len(observables)), np.nan, dtype=complex)
-
-        monkeypatch.setattr(phasegeo.uncertainty, "bracket_matrix", bracket_matrix)
+        monkeypatch.setattr(phasegeo.uncertainty, "_bracket_kernel", _nan_kernel)
         state, obs = files
         assert main(["analyze", "--state", state, "--observables", obs]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("relation violation (internal fault): geometric bound nan exceeds")
+
+    def test_rank_cut_past_the_sum_rule_exits_2(self, tmp_path, capsys):
+        """Each of the 199 eigenvalues the rank cut drops is under 1e-12, but together they hold 1.8e-10 of the
+        trace, more than the spectrum's sum rule allows: an input error, where the Python API raises ValueError."""
+        dim = 200
+        p = np.full(dim, 9e-13)
+        p[0] = 1 - 199 * 9e-13
+        state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+        state.write_text(json.dumps({"dimension": dim, "matrix": _entries(np.diag(p))}))
+        mats = [np.diag(np.arange(dim) % k) for k in (2, 3)]
+        obs.write_text(_observables_json(["A", "B"], mats))
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix: spectrum eigenvalues must sum to 1, got 0.9999999998209\n"
+        rho, hbar = load_state(str(state))
+        with pytest.raises(ValueError, match="spectrum eigenvalues must sum to 1"):
+            analyze_pairs([Observable(m) for m in mats], rho, hbar)
 
     def test_malformed_entry_exits_2_naming_index(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -220,6 +281,53 @@ class TestAnalyze:
         obs = tmp_path / "obs.json"
         obs.write_text(SPIN_OBSERVABLES_JSON)
         assert main(["analyze", "--state", str(tmp_path / "nope.json"), "--observables", str(obs)]) == 2
+
+
+class TestOneRoute:
+    """analyze and sweep reach their report columns through uncertainty._analyze_states, each value validated once."""
+
+    def test_analyze_is_one_state_of_the_stacked_route(self, tmp_path, monkeypatch, capsys):
+        shapes = _route_calls(monkeypatch)
+        eigs = _count_calls(monkeypatch, phasegeo.linalg, "_eig")
+        stacks = _count_calls(monkeypatch, phasegeo.observables, "_stack")
+        state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+        state.write_text(STATE_JSON)
+        obs.write_text(SPIN_OBSERVABLES_JSON)
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 3
+        assert shapes == [(1, 3, 2, 2)]
+        assert (len(eigs), len(stacks)) == (1, 1)
+
+    def test_sweep_calls_the_route_once_per_chunk_and_skips_the_hermiticity_rule(self, monkeypatch, capsys):
+        shapes = _route_calls(monkeypatch)
+        monkeypatch.setattr(phasegeo.cli, "_CHUNK_ENTRIES", 4 * 3 * 3)
+        hermitian = _count_calls(monkeypatch, phasegeo.linalg, "_hermitian_matrix")
+        assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "10", "--seed", "4"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 10
+        assert [shape[0] for shape in shapes] == [4, 4, 2]
+        assert hermitian == []
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_analyze_equals_analyze_pairs_bit_for_bit(self, tmp_path, capsys, hbar):
+        """At every state of four block structures, rank cuts and a pure state among them."""
+        states, observables = _mixed_stack()
+        names = ["A", "B", "C"]
+        state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+        for rho, mats in zip(states, observables):
+            state.write_text(json.dumps({"dimension": 3, "hbar": hbar, "matrix": _entries(rho)}))
+            obs.write_text(_observables_json(names, mats))
+            assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 0
+            got = json.loads(capsys.readouterr().out)["reports"]
+            reports = analyze_pairs([Observable(m) for m in mats], DensityOperator(rho), hbar)
+            pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+            assert repr(got) == repr([report_to_dict(r, a, b) for r, (a, b) in zip(reports, pairs)])
+
+    def test_nan_brackets_in_a_sweep_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(phasegeo.uncertainty, "_bracket_kernel", _nan_kernel)
+        assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "5", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("relation violation (internal fault): geometric bound nan")
 
 
 class TestSweep:

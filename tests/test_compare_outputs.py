@@ -163,3 +163,23 @@ def test_fault_cases_name_the_planted_observable(tmp_path, capsys):
         assert main(["analyze", "--state", state, "--observables", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(message + "\n")
+
+
+def test_strata_cases_reach_their_block_structures(tmp_path, capsys):
+    from phasegeo.bundle import spectrum_of
+    from phasegeo.cli import main
+    from phasegeo.io import load_state
+
+    expected = [((3,), {"tie"}), ((1,), None), ((2, 1), None)]
+    for (label, state, observables), (multiplicities, winners) in zip(
+        compare_outputs.strata_files(str(tmp_path)), expected
+    ):
+        rho, hbar = load_state(state)
+        assert spectrum_of(rho).multiplicities == multiplicities, label
+        assert main(["analyze", "--state", state, "--observables", observables]) == 0
+        reports = compare_outputs._records(capsys.readouterr().out, "json")[:-1]
+        assert reports, label
+        if winners:  # the maximally mixed state: both bounds of every pair are 0
+            assert {rec["bound_winner"] for rec in reports} == winners
+            assert {rec["geometric_bound"] for rec in reports} == {rec["rs_bound"] for rec in reports} == {0.0}
+    assert hbar == 2.3 and rho.dim == 5

@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from phasegeo import linalg
+from phasegeo.bundle import DensityOperator
+from phasegeo.observables import Observable
+from phasegeo.sampling import _orbit_draws, make_rng, sample_spectrum
 from phasegeo.verify import run_battery
 
 from test_acceptance import DIMS, new_stats, record_triple
@@ -74,3 +77,21 @@ def test_parsed_observables_meet_their_rules(checked_helper):
     doc = {"observables": [{"matrix": np.stack((m.real, m.imag), axis=-1).tolist()} for m in mats]}
     assert len(parse_observables(doc, 4)) == len(mats)
     assert checked_helper == {"Observable": len(mats)}
+
+
+@pytest.mark.parametrize("dim, rank, count", [(1, 1, 3), (2, 1, 5), (3, 2, 1), (4, 3, 7), (5, 2, 10), (6, 6, 4)])
+def test_sweep_draws_meet_their_rules(dim, rank, count):
+    """The sweep's stacked draws skip the rules they meet by construction: each slice is what the public
+    constructors build from it, and the frames are the input-checked eigendecomposition, byte for byte."""
+    spectrum, _ = sample_spectrum(rank, make_rng(dim, 0))
+    states, frames, observables = _orbit_draws(spectrum, dim, (make_rng(dim, 1, i) for i in range(count)))
+    assert states.shape == (count, dim, dim) and observables.shape == (count, 2, dim, dim)
+    checked = linalg.hermitian_eig(states)
+    assert frames.values.tobytes() == checked.values.tobytes()
+    assert frames.vectors.tobytes() == checked.vectors.tobytes()
+    for state, values, vectors, pair in zip(states, frames.values, frames.vectors, observables):
+        rho = DensityOperator(state)
+        assert rho.matrix.tobytes() == state.tobytes()
+        assert rho.frame.values.tobytes() == values.tobytes() and rho.frame.vectors.tobytes() == vectors.tobytes()
+        for m in pair:
+            assert Observable(m).matrix.tobytes() == m.tobytes()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from phasegeo import cli, uncertainty
-from phasegeo.bundle import DensityOperator, _density_frames, _spectral_groups
+from phasegeo.bundle import DensityOperator, _density_frame, _spectral_groups
 from phasegeo.io import report_to_dict, write_reports_csv
-from phasegeo.linalg import hermitian_eig
+from phasegeo.linalg import _hermitian_matrix, hermitian_eig
 from phasegeo.observables import Observable
 from phasegeo.sampling import make_rng, sample_density, sample_hermitian, sample_spectrum, sample_unitary
 from phasegeo.uncertainty import RelationViolationError, UncertaintyReport, _analyze_states, analyze_pair, analyze_pairs
@@ -67,11 +67,11 @@ def _mixed_stack():
 
 def test_stack_mixing_block_structures_matches_per_state_reports():
     states, observables = _mixed_stack()
-    _, frames = _density_frames(states, stacked=True)
+    frames = hermitian_eig(states)
     groups = _spectral_groups(frames.values, 1e-12, 1e-8)
     assert sorted(m for _, m, _ in groups) == [(1,), (1, 1, 1), (2,), (2, 1)]
     for hbar in (1.0, 0.7):
-        spreads, (a, b), columns = _analyze_states(observables, states, hbar)
+        spreads, (a, b), columns = _analyze_states(observables, states, frames, hbar)
         stacked = [*map(UncertaintyReport, map(spreads.__getitem__, a), map(spreads.__getitem__, b), *columns)]
         assert len(stacked) == 3 * len(states)
         for s, state in enumerate(states):
@@ -90,6 +90,7 @@ def test_stack_mixing_block_structures_matches_per_state_reports():
     ids=["trace", "negative_eigenvalue", "state_not_hermitian", "observable_not_hermitian"],
 )
 def test_a_failing_slice_raises_what_the_single_state_raises(state, observable):
+    """The stacked rules the routes run before _analyze_states: on the states, and as parse_observables does."""
     states, observables = _mixed_stack()
     if state is not None:
         states[2] = state
@@ -100,13 +101,15 @@ def test_a_failing_slice_raises_what_the_single_state_raises(state, observable):
     with pytest.raises(ValueError) as expected:
         single()
     with pytest.raises(ValueError) as got:
-        _analyze_states(observables, states, 1.0)
+        _density_frame(states, hermitian_eig(states))
+        _hermitian_matrix(observables, "observable", stacked=True)
     assert str(got.value) == str(expected.value)
 
 
 def test_every_structure_passes_its_rules_before_the_report_pass(monkeypatch):
     """A bound fault of the first structure does not hide a spectrum fault of a later one."""
     states, observables = _mixed_stack()
+    frames = hermitian_eig(states)
     kernel, check = uncertainty._bracket_kernel, uncertainty._check_spectra
 
     def nan_kernel(mats, psi, p, multiplicities, hbar):
@@ -120,10 +123,10 @@ def test_every_structure_passes_its_rules_before_the_report_pass(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "_bracket_kernel", nan_kernel)
     with pytest.raises(RelationViolationError, match="geometric bound nan"):
-        _analyze_states(observables, states, 1.0)
+        _analyze_states(observables, states, frames, 1.0)
     monkeypatch.setattr(uncertainty, "_check_spectra", failing_check)
     with pytest.raises(ValueError, match="spectrum fault"):
-        _analyze_states(observables, states, 1.0)
+        _analyze_states(observables, states, frames, 1.0)
 
 
 def test_stacked_eigendecomposition_matches_each_matrix():

@@ -13,6 +13,11 @@ thread:
   ``"``, ``\\``, a comma, a newline), generated here, and on the same kind
   of state with only the first one and the first two of those names: an
   empty report list and a single report;
+- ``analyze`` in JSON on three block structures that those inputs miss:
+  a dim-4 pure state; the dim-3 maximally mixed state against the eight
+  Gell-Mann matrices, where every bracket is 0 and every pair ties; and a
+  dim-5 state with blocks (2, 1) and two eigenvalues under the rank cut,
+  at hbar 2.3;
 - ``analyze`` on two faulty copies of the escaped-names observables: one
   with a non-Hermitian observable at index 5, one with a malformed entry
   in the observable at index 3.  Both trees must exit 2, and their stderr
@@ -95,6 +100,22 @@ def _analyze_files(workdir: str) -> dict[int, object]:
     }
 
 
+def _write_inputs(workdir: str, stem: str, hbar: float, rho, mats, names) -> tuple[str, str]:
+    """The state file and the observables file of a state, its hbar and named observables, with [re, im] entries."""
+    import numpy as np
+
+    pairs = [np.stack((m.real, m.imag), axis=-1).tolist() for m in [rho, *mats]]
+    paths = tuple(os.path.join(workdir, f"{stem}_{kind}.json") for kind in ("state", "observables"))
+    docs = (
+        {"dimension": len(rho), "hbar": hbar, "matrix": pairs[0]},
+        {"observables": [{"name": name, "matrix": m} for name, m in zip(names, pairs[1:])]},
+    )
+    for path, doc in zip(paths, docs):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, ensure_ascii=False)
+    return paths
+
+
 def escaped_names_files(workdir: str, names: tuple[str, ...] = ESCAPED_NAMES) -> tuple[str, str]:
     """A dim-3 state at hbar 0.75 and one observable per name, from numpy's own Generator."""
     import numpy as np
@@ -104,17 +125,34 @@ def escaped_names_files(workdir: str, names: tuple[str, ...] = ESCAPED_NAMES) ->
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     u, _ = np.linalg.qr(g[0])
     rho = (u * [0.5, 0.3, 0.2]) @ u.conj().T
-    mats = [0.5 * (rho + rho.conj().T)] + [0.5 * (a + a.conj().T) for a in g[1:]]
-    pairs = [np.stack((m.real, m.imag), axis=-1).tolist() for m in mats]
-    paths = tuple(os.path.join(workdir, f"escaped{len(names)}_{kind}.json") for kind in ("state", "observables"))
-    docs = (
-        {"dimension": 3, "hbar": 0.75, "matrix": pairs[0]},
-        {"observables": [{"name": name, "matrix": m} for name, m in zip(names, pairs[1:])]},
-    )
-    for path, doc in zip(paths, docs):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False)
-    return paths
+    mats = [0.5 * (a + a.conj().T) for a in g[1:]]
+    return _write_inputs(workdir, f"escaped{len(names)}", 0.75, 0.5 * (rho + rho.conj().T), mats, names)
+
+
+def strata_files(workdir: str) -> list[tuple[str, str, str]]:
+    """(label, state, observables) of the maximally mixed, pure and (2, 1) rank-cut cases, from numpy's own
+    Generator.  The rotated states take four Gaussian observables; the maximally mixed one, diagonal, takes the
+    traceless and mutually orthogonal Gell-Mann matrices, so both bounds of every pair are 0."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(13))
+    e = np.eye(3)
+    gell_mann = [e[[j]].T @ e[[k]] for j, k in ((0, 1), (0, 2), (1, 2))]
+    gell_mann = [m + m.T for m in gell_mann] + [1j * (m.T - m) for m in gell_mann]
+    gell_mann += [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]
+    names = [f"lambda{i}" for i in range(1, 9)]
+    out = [("maximally mixed dim 3", *_write_inputs(workdir, "mixed3", 1.0, e / 3, gell_mann, names))]
+    for label, stem, hbar, spectrum in (
+        ("pure dim 4", "pure4", 1.0, [1.0, 0.0, 0.0, 0.0]),
+        ("blocks (2, 1) rank cut dim 5 hbar 2.3", "blocks5", 2.3, [0.35, 0.35, 0.3, 0.0, 0.0]),
+    ):
+        n = len(spectrum)
+        g = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        u, _ = np.linalg.qr(g[0])
+        rho = (u * spectrum) @ u.conj().T
+        mats = [0.5 * (a + a.conj().T) for a in g[1:]]
+        out.append((label, *_write_inputs(workdir, stem, hbar, 0.5 * (rho + rho.conj().T), mats, "ABCD")))
+    return out
 
 
 def faulty_observables_files(workdir: str, observables: str) -> list[tuple[str, str]]:
@@ -143,6 +181,8 @@ def _cases(workdir: str) -> list[tuple[str, list[str], str]]:
         for fmt in ("json", "csv"):
             argv = ["analyze", "--state", state, "--observables", observables]
             cases.append((f"analyze {label} {fmt}", argv + ["--format", fmt], fmt))
+    for label, state, observables in strata_files(workdir):
+        cases.append((f"analyze {label} json", ["analyze", "--state", state, "--observables", observables], "json"))
     for label, observables in faulty_observables_files(workdir, escaped[1]):
         cases.append((f"analyze {label}", ["analyze", "--state", escaped[0], "--observables", observables], "error"))
     for dim, rank, samples, fmt in SWEEPS:
