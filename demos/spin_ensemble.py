@@ -2,24 +2,21 @@
 """Spin-1/2 ensemble walk-through.
 
 An ensemble prepared with proportion p1 spin-up and p2 = 1 - p1 spin-down
-is the diagonal mixed state diag(p1, p2).  This script builds its lift,
-evaluates the Hamiltonian fields of the spin components, classifies them
-as horizontal or vertical, and tabulates the geometric uncertainty bound
-for (Sx, Sy) against the Robertson-Schrodinger baseline as p1 varies.
+is the diagonal mixed state diag(p1, p2).  For p1 = 0.75 and 0.5 this
+script runs ``phasegeo demo spin``, which builds the lift, evaluates the
+Hamiltonian fields of the spin components, classifies them as horizontal
+or vertical, reports the geometric uncertainty bound for (Sx, Sy) beside
+the Robertson-Schrodinger baseline, and checks every value against its
+closed form.  It exits non-zero when that check fails.  It then tabulates
+the two bounds as p1 varies.
 """
+
+import sys
 
 import numpy as np
 
-from phasegeo import (
-    DensityOperator,
-    analyze_pair,
-    brackets,
-    ham_field,
-    spectrum_of,
-    spin_half,
-    split,
-    standard_lift,
-)
+from phasegeo import DensityOperator, analyze_pair, spin_half
+from phasegeo.cli import main as phasegeo
 
 HBAR = 1.0
 
@@ -29,49 +26,6 @@ def section(title):
     print("=" * 64)
     print(f"  {title}")
     print("=" * 64)
-
-
-def classify(lift, x):
-    vertical, horizontal = split(lift, x)
-    norm = max(np.linalg.norm(x), 1e-300)
-    if np.linalg.norm(vertical) < 1e-10 * norm:
-        return "horizontal"
-    if np.linalg.norm(horizontal) < 1e-10 * norm:
-        return "vertical"
-    return "mixed"
-
-
-def walk_through(p1):
-    p2 = 1.0 - p1
-    rho = DensityOperator(np.diag([p1, p2]).astype(complex))
-    sx, sy, sz = spin_half(HBAR)
-
-    section(f"ensemble with p1 = {p1}")
-    spectrum = spectrum_of(rho)
-    print(f"spectrum: {spectrum.eigenvalues}, multiplicities {spectrum.multiplicities}")
-
-    lift = standard_lift(rho, HBAR)
-    print("standard lift psi = V sqrt(P):")
-    print(np.round(lift.psi, 6))
-
-    x_sx = ham_field(sx, lift)
-    x_sy = ham_field(sy, lift)
-    print("\nHamiltonian field of Sx at psi:")
-    print(np.round(x_sx, 6))
-    print(f"  -> {classify(lift, x_sx)}")
-    print("Hamiltonian field of Sy at psi:")
-    print(np.round(x_sy, 6))
-    print(f"  -> {classify(lift, x_sy)}")
-
-    pair = brackets(sx, sy, rho, HBAR)
-    print(f"\n{{Sx,Sy}}_g     = {pair.riemann:.6f}   (metric pairing of horizontal parts)")
-    print(f"{{Sx,Sy}}_omega = {pair.poisson:.6f}   (expected (hbar/2)(p1-p2) = {0.5 * (p1 - p2):.6f})")
-
-    report = analyze_pair(sx, sy, rho, HBAR)
-    print(f"\ndelta_Sx * delta_Sy = {report.product:.6f}")
-    print(f"geometric bound     = {report.geometric_bound:.6f}")
-    print(f"RS bound            = {report.rs_bound:.6f}")
-    print(f"winner              = {report.bound_winner}")
 
 
 def bound_table():
@@ -91,10 +45,14 @@ def bound_table():
 
 
 def main():
-    walk_through(0.75)
-    walk_through(0.5)
+    for p1 in ("0.75", "0.5"):
+        section(f"ensemble with p1 = {p1}")
+        code = phasegeo(["demo", "spin", "--p1", p1, "--hbar", repr(HBAR)])
+        if code:
+            return code
     bound_table()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from io import StringIO
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -91,14 +91,15 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
     print(f"slack_rs        = {report.slack_rs!r}")
     print(f"bound_winner    = {report.bound_winner}")
 
-    degenerate = spectrum.multiplicities == (2,)
+    # The level gap the lift sees: none once the spectrum groups both levels; RS reads the matrix itself.
+    gap = 0.0 if spectrum.multiplicities == (2,) else p1 - p2
     expected = {
         "riemann": 0.0,
-        "poisson": 0.5 * hbar * (p1 - p2),
+        "poisson": 0.5 * hbar * gap,
         "delta_a": 0.5 * hbar,
         "delta_b": 0.5 * hbar,
         "product": 0.25 * hbar * hbar,
-        "geometric_bound": 0.25 * hbar * hbar * abs(p1 - p2),
+        "geometric_bound": 0.25 * hbar * hbar * abs(gap),
         "rs_bound": 0.25 * hbar * hbar * abs(p1 - p2),
     }
     got = {key: getattr(report, key) for key in expected}
@@ -107,7 +108,7 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
         for key, value in expected.items()
         if abs(got[key] - value) > DEMO_TOL * max(1.0, hbar * hbar)
     ]
-    want_cls = "vertical" if degenerate else "horizontal"
+    want_cls = "horizontal" if gap else "vertical"
     for label, cls in (("X_Sx", cls_x), ("X_Sy", cls_y)):
         if cls != want_cls:
             failures.append(f"{label} classified {cls}, expected {want_cls}")
@@ -119,14 +120,6 @@ def cmd_demo_spin(p1: float, hbar: float) -> int:
         return EXIT_VIOLATION
     print(f"reference values reproduced within {DEMO_TOL:g}")
     return EXIT_OK
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt: str) -> int:
@@ -142,10 +135,9 @@ def cmd_analyze(state_path: str, observables_path: str, output: str | None, fmt:
         raise StateFileError(f"matrix: {exc}") from exc
     names = [name for name, _ in named]
     per_pair = {"a": (names, a), "b": (names, b), "delta_a": (spreads, a), "delta_b": (spreads, b)}
-    buf = StringIO()
     header = {"dimension": rho.dim, "hbar": hbar}
-    _write_pair_columns(buf, fmt, {**per_pair, **dict(zip(REPORT_FIELDS[2:], columns))}, header, "reports")
-    _emit(buf.getvalue(), output)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        _write_pair_columns(fh, fmt, {**per_pair, **dict(zip(REPORT_FIELDS[2:], columns))}, header, "reports")
     return EXIT_OK
 
 
@@ -179,9 +171,8 @@ def cmd_sweep(dim: int, rank: int, samples: int, seed: int, output: str | None, 
         "degenerate_resamples": resampled,
     }
     leading = dict(zip(SWEEP_FIELDS, (range(samples), [seed] * samples, [dim] * samples, [rank] * samples)))
-    buf = StringIO()
-    _write_pair_columns(buf, fmt, {**leading, **report}, header, "records", {"summary": summary})
-    _emit(buf.getvalue(), output)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        _write_pair_columns(fh, fmt, {**leading, **report}, header, "records", {"summary": summary})
 
     summary_text = (
         f"summary: min_slack_geometric={summary['min_slack_geometric']!r} "
@@ -250,8 +241,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             if not 0.0 < args.p1 < 1.0:
                 parser.error(f"--p1 must lie strictly between 0 and 1, got {args.p1}")
-            if not 0.0 < args.hbar < np.inf:
-                parser.error(f"--hbar must be positive and finite, got {args.hbar}")
+            if not (args.hbar > 0.0 and args.hbar * args.hbar < np.inf):  # the references read hbar^2
+                parser.error(f"--hbar must be positive with a finite square, got {args.hbar}")
             return cmd_demo_spin(args.p1, args.hbar)
         if args.command == "analyze":
             return cmd_analyze(args.state, args.observables, args.output, args.format)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 from contextlib import suppress
 from itertools import chain
@@ -193,20 +192,15 @@ def _json_column(values) -> tuple[str, list]:
     return "%s", [*map(json.encoder.encode_basestring_ascii if kinds == {str} else json.dumps, values)]
 
 
-@functools.lru_cache
-def _record_template(keys: tuple[str, ...], conversions: tuple[str, ...], pad: str) -> str:
-    """The %-template of one record: each str key encoded as json does, then its column's conversion."""
-    encoded = map(json.encoder.encode_basestring_ascii, keys)
-    fields = [key.replace("%", "%%") + ": " + conversion for key, conversion in zip(encoded, conversions)]
-    return "{" + pad + "  " + ("," + pad + "  ").join(fields) + pad + "}"
-
-
 def _records_json(keys: tuple[str, ...], columns: list[tuple[str, list]], level: int) -> str:
     """json.dumps(records, indent=2) at a nesting depth, from one _json_column per str key: one fill of one
-    %-template per record."""
+    %-template per record, which holds each key encoded as json does, then its column's conversion."""
     pad = "\n" + "  " * (level + 1)
     conversions, cells = zip(*columns)
-    records = [*map(_record_template(keys, conversions, pad).__mod__, zip(*cells))]
+    encoded = map(json.encoder.encode_basestring_ascii, keys)
+    fields = [key.replace("%", "%%") + ": " + conversion for key, conversion in zip(encoded, conversions)]
+    template = "{" + pad + "  " + ("," + pad + "  ").join(fields) + pad + "}"
+    records = [*map(template.__mod__, zip(*cells))]
     return "[" + pad + ("," + pad).join(records) + pad[:-2] + "]" if records else "[]"
 
 

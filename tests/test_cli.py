@@ -125,6 +125,31 @@ class TestDemoSpin:
             main(["demo", "spin", "--p1", "0.5", "--hbar", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("p1", [0.500000001, 0.499999999, 0.50000000011, 0.5000000024])
+    def test_merged_levels_read_no_gap(self, p1, capsys):
+        """Within deg_tol of 1/2 the spectrum groups both levels: the brackets and geo follow it, RS the matrix."""
+        assert main(["demo", "spin", "--p1", repr(p1)]) == 0
+        out = capsys.readouterr().out
+        assert "multiplicities=(2,)" in out
+        assert "X_Sx vertical, X_Sy vertical" in out
+        assert _value(out, "poisson bracket") == pytest.approx(0.0, abs=1e-10)
+        assert _value(out, "geometric_bound") == pytest.approx(0.0, abs=1e-10)
+        assert _value(out, "rs_bound") == pytest.approx(0.25 * abs(p1 - (1.0 - p1)), abs=1e-10)
+
+    def test_hbar_with_an_overflowing_square_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["demo", "spin", "--p1", "0.75", "--hbar", "3e154"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err_text.splitlines() if "--hbar" in line] == [
+            "phasegeo: error: --hbar must be positive with a finite square, got 3e+154"
+        ]
+
+    def test_large_hbar_with_a_finite_square_is_checked(self, capsys):
+        assert main(["demo", "spin", "--p1", "0.75", "--hbar", "1e154"]) == 0
+        assert capsys.readouterr().out.endswith("reference values reproduced within 1e-10\n")
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -321,6 +346,25 @@ class TestOneRoute:
             reports = analyze_pairs([Observable(m) for m in mats], DensityOperator(rho), hbar)
             pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
             assert repr(got) == repr([report_to_dict(r, a, b) for r, (a, b) in zip(reports, pairs)])
+
+    def test_analyze_then_sweep_both_print_to_stdout(self, tmp_path, capsys):
+        """The commands write to the process's stdout and leave it open for the next invocation."""
+        state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+        state.write_text(STATE_JSON)
+        obs.write_text(SPIN_OBSERVABLES_JSON)
+        assert main(["analyze", "--state", str(state), "--observables", str(obs)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 3
+        assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "5", "--seed", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 5
+
+    def test_a_fault_leaves_no_output_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(phasegeo.uncertainty, "_bracket_kernel", _nan_kernel)
+        state, obs, out = tmp_path / "state.json", tmp_path / "obs.json", tmp_path / "out.json"
+        state.write_text(STATE_JSON)
+        obs.write_text(SPIN_OBSERVABLES_JSON)
+        assert main(["analyze", "--state", str(state), "--observables", str(obs), "--output", str(out)]) == 3
+        assert main(["sweep", "--dim", "3", "--rank", "2", "--samples", "5", "--seed", "1", "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_nan_brackets_in_a_sweep_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(phasegeo.uncertainty, "_bracket_kernel", _nan_kernel)

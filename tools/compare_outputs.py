@@ -33,8 +33,10 @@ thread:
   input rules they meet by construction, and a slip there would show in
   these residuals first;
 - ``demo spin`` with ``--p1 0.75``, ``--p1 0.5 --hbar 2`` and
-  ``--p1 0.999``.  Its text prints the standard lift, so these cases
-  compare byte for byte;
+  ``--p1 0.999``; with ``--p1 0.4999999974`` and ``--p1 0.500000004``,
+  where the two levels sit just outside the degeneracy tolerance and stay
+  split; and with ``--p1 1e-13``, where the rank cut leaves rank 1.  Its
+  text prints the standard lift, so these cases compare byte for byte;
 - ``--output FILE``: ``sweep`` at (4, 3, 200), seed 3, in JSON, and
   ``analyze`` on the escaped-names inputs in CSV.  The written file and
   stdout (for ``sweep``, the summary line) compare byte for byte.
@@ -80,7 +82,14 @@ SWEEPS = (
 SWEEP_SEEDS = (3, 4, 5)
 VERIFIES = ((2, 40, 7), (4, 8, 1), (6, 8, 3), (2, 1, 12), (4, 8, 1000000), (3, 16, 5), (5, 8, 11))
 ANALYZE_SEEDS = (1, 2)
-DEMOS = (("--p1", "0.75"), ("--p1", "0.5", "--hbar", "2"), ("--p1", "0.999"))
+DEMOS = (
+    ("--p1", "0.75"),
+    ("--p1", "0.5", "--hbar", "2"),
+    ("--p1", "0.999"),
+    ("--p1", "0.4999999974"),
+    ("--p1", "0.500000004"),
+    ("--p1", "1e-13"),
+)
 # Observable names that JSON must escape and CSV must quote.
 ESCAPED_NAMES = ("Ŝ_x", 'say "hi"', "back\\slash", "a, b", "two\nlines", "日本")
 # Faults planted in the escaped-names observables: (label, observable index, row, column, entry).  The first entry
